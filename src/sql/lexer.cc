@@ -1,7 +1,7 @@
 #include "sql/lexer.h"
 
-#include <cctype>
-#include <unordered_set>
+#include <algorithm>
+#include <iterator>
 
 #include "util/string_util.h"
 
@@ -9,41 +9,53 @@ namespace logr::sql {
 
 namespace {
 
-const std::unordered_set<std::string>& KeywordSet() {
-  static const std::unordered_set<std::string>* kSet =
-      new std::unordered_set<std::string>{
-          "SELECT",   "FROM",     "WHERE",  "AND",      "OR",     "NOT",
-          "AS",       "JOIN",     "INNER",  "LEFT",     "RIGHT",  "FULL",
-          "OUTER",    "CROSS",    "ON",     "GROUP",    "BY",     "HAVING",
-          "ORDER",    "ASC",      "DESC",   "LIMIT",    "OFFSET", "UNION",
-          "ALL",      "DISTINCT", "IN",     "BETWEEN",  "LIKE",   "IS",
-          "NULL",     "EXISTS",   "CASE",   "WHEN",     "THEN",   "ELSE",
-          "END",      "INSERT",   "UPDATE", "DELETE",   "INTO",   "VALUES",
-          "SET",      "CREATE",   "TABLE",  "INDEX",    "VIEW",   "DROP",
-          "ALTER",    "EXEC",     "EXECUTE", "CALL",    "TRUE",   "FALSE",
-          "CAST",     "ESCAPE",   "USING",  "NATURAL",  "GLOB",   "REGEXP",
-      };
-  return *kSet;
-}
+// Reserved words, sorted for binary search.
+constexpr std::string_view kKeywords[] = {
+    "ALL",    "ALTER",   "AND",    "AS",      "ASC",     "BETWEEN",
+    "BY",     "CALL",    "CASE",   "CAST",    "CREATE",  "CROSS",
+    "DELETE", "DESC",    "DISTINCT", "DROP",  "ELSE",    "END",
+    "ESCAPE", "EXEC",    "EXECUTE", "EXISTS", "FALSE",   "FROM",
+    "FULL",   "GLOB",    "GROUP",  "HAVING",  "IN",      "INDEX",
+    "INNER",  "INSERT",  "INTO",   "IS",      "JOIN",    "LEFT",
+    "LIKE",   "LIMIT",   "NATURAL", "NOT",    "NULL",    "OFFSET",
+    "ON",     "OR",      "ORDER",  "OUTER",   "REGEXP",  "RIGHT",
+    "SELECT", "SET",     "TABLE",  "THEN",    "TRUE",    "UNION",
+    "UPDATE", "USING",   "VALUES", "VIEW",    "WHEN",    "WHERE",
+};
+constexpr std::size_t kMaxKeywordLength = 8;  // DISTINCT
 
-bool IsIdentStart(char c) {
-  return std::isalpha(static_cast<unsigned char>(c)) || c == '_';
+// ASCII character classes, matching <cctype> in the "C" locale the
+// library runs in, without a call per character.
+bool IsSpace(char c) { return c == ' ' || (c >= '\t' && c <= '\r'); }
+bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+bool IsAlpha(char c) {
+  return (c >= 'a' && c <= 'z') || (c >= 'A' && c <= 'Z');
 }
+bool IsIdentStart(char c) { return IsAlpha(c) || c == '_'; }
+bool IsIdentChar(char c) { return IsIdentStart(c) || IsDigit(c); }
 
-bool IsIdentChar(char c) {
-  return std::isalnum(static_cast<unsigned char>(c)) || c == '_';
+// The reserved word `word` spells in any case, or an empty view. The
+// returned view is the static uppercase spelling.
+std::string_view FindKeyword(std::string_view word) {
+  if (word.size() > kMaxKeywordLength) return {};
+  char upper[kMaxKeywordLength];
+  for (std::size_t i = 0; i < word.size(); ++i) {
+    const char c = word[i];
+    upper[i] = (c >= 'a' && c <= 'z') ? static_cast<char>(c - 'a' + 'A') : c;
+  }
+  const std::string_view key(upper, word.size());
+  const auto* end = std::end(kKeywords);
+  const auto* it = std::lower_bound(std::begin(kKeywords), end, key);
+  return it != end && *it == key ? *it : std::string_view();
 }
 
 }  // namespace
-
-bool IsReservedKeyword(std::string_view upper_word) {
-  return KeywordSet().count(std::string(upper_word)) > 0;
-}
 
 std::vector<Token> Lex(std::string_view in) {
   std::vector<Token> out;
   std::size_t i = 0;
   const std::size_t n = in.size();
+  out.reserve(n / 4 + 2);  // log statements run ~5 bytes per token
 
   auto error = [&](std::size_t pos, std::string msg) {
     out.push_back({TokenType::kError, std::move(msg), pos});
@@ -52,7 +64,7 @@ std::vector<Token> Lex(std::string_view in) {
   while (i < n) {
     char c = in[i];
     // Whitespace.
-    if (std::isspace(static_cast<unsigned char>(c))) {
+    if (IsSpace(c)) {
       ++i;
       continue;
     }
@@ -124,24 +136,22 @@ std::vector<Token> Lex(std::string_view in) {
       continue;
     }
     // Number.
-    if (std::isdigit(static_cast<unsigned char>(c)) ||
-        (c == '.' && i + 1 < n &&
-         std::isdigit(static_cast<unsigned char>(in[i + 1])))) {
+    if (IsDigit(c) || (c == '.' && i + 1 < n && IsDigit(in[i + 1]))) {
       std::size_t start = i;
       bool is_float = false;
-      while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+      while (i < n && IsDigit(in[i])) ++i;
       if (i < n && in[i] == '.') {
         is_float = true;
         ++i;
-        while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+        while (i < n && IsDigit(in[i])) ++i;
       }
       if (i < n && (in[i] == 'e' || in[i] == 'E')) {
         std::size_t save = i;
         ++i;
         if (i < n && (in[i] == '+' || in[i] == '-')) ++i;
-        if (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) {
+        if (i < n && IsDigit(in[i])) {
           is_float = true;
-          while (i < n && std::isdigit(static_cast<unsigned char>(in[i]))) ++i;
+          while (i < n && IsDigit(in[i])) ++i;
         } else {
           i = save;  // not an exponent, e.g. "1e" in "1end"
         }
@@ -167,12 +177,12 @@ std::vector<Token> Lex(std::string_view in) {
     if (IsIdentStart(c)) {
       std::size_t start = i;
       while (i < n && IsIdentChar(in[i])) ++i;
-      std::string word(in.substr(start, i - start));
-      std::string upper = ToUpper(word);
-      if (IsReservedKeyword(upper)) {
-        out.push_back({TokenType::kKeyword, std::move(upper), start});
+      const std::string_view word = in.substr(start, i - start);
+      const std::string_view keyword = FindKeyword(word);
+      if (!keyword.empty()) {
+        out.push_back({TokenType::kKeyword, std::string(keyword), start});
       } else {
-        out.push_back({TokenType::kIdentifier, std::move(word), start});
+        out.push_back({TokenType::kIdentifier, std::string(word), start});
       }
       continue;
     }

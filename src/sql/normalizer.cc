@@ -1,24 +1,31 @@
 #include "sql/normalizer.h"
 
 #include <algorithm>
-#include <set>
 #include <string>
+#include <string_view>
+#include <unordered_set>
 #include <vector>
 
 #include "sql/printer.h"
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace logr::sql {
 
 namespace {
 
+// ASCII lowercasing, as std::tolower does in the "C" locale.
+void LowerInPlace(std::string* s) {
+  for (char& c : *s) {
+    if (c >= 'A' && c <= 'Z') c = static_cast<char>(c - 'A' + 'a');
+  }
+}
+
 void LowercaseExpr(Expr* e);
 void LowercaseSelect(SelectStmt* s);
 
 void LowercaseTableRef(TableRef* t) {
-  t->table_name = ToLower(t->table_name);
-  t->alias = ToLower(t->alias);
+  LowerInPlace(&t->table_name);
+  LowerInPlace(&t->alias);
   if (t->derived) LowercaseSelect(t->derived.get());
   if (t->left) LowercaseTableRef(t->left.get());
   if (t->right) LowercaseTableRef(t->right.get());
@@ -26,9 +33,9 @@ void LowercaseTableRef(TableRef* t) {
 }
 
 void LowercaseExpr(Expr* e) {
-  e->table = ToLower(e->table);
+  LowerInPlace(&e->table);
   if (e->kind == ExprKind::kColumnRef || e->kind == ExprKind::kFunction) {
-    e->column = ToLower(e->column);
+    LowerInPlace(&e->column);
   }
   for (auto& c : e->children) {
     if (c) LowercaseExpr(c.get());
@@ -39,7 +46,7 @@ void LowercaseExpr(Expr* e) {
 void LowercaseSelect(SelectStmt* s) {
   for (auto& item : s->items) {
     LowercaseExpr(item.expr.get());
-    item.alias = ToLower(item.alias);
+    LowerInPlace(&item.alias);
   }
   for (auto& t : s->from) LowercaseTableRef(t.get());
   if (s->where) LowercaseExpr(s->where.get());
@@ -106,9 +113,21 @@ bool IsComparison(BinaryOp op) {
   }
 }
 
-// Forward declaration: normalize with an optional pending negation.
-ExprPtr NormalizeNeg(ExprPtr e, bool negate);
+// Joins terms [lo, hi) with `op` as a balanced tree. It prints exactly
+// like the left-deep chain `t0 op t1 op ...` (equal precedences take no
+// parentheses) and expands to the same DNF in the same order, but its
+// height is logarithmic, so an IN list or conjunction of any length
+// stays within the recursion depth every later pass can afford.
+ExprPtr JoinBalanced(BinaryOp op, std::vector<ExprPtr>* terms,
+                     std::size_t lo, std::size_t hi) {
+  if (hi - lo == 1) return std::move((*terms)[lo]);
+  const std::size_t mid = lo + (hi - lo) / 2;
+  ExprPtr l = JoinBalanced(op, terms, lo, mid);
+  ExprPtr r = JoinBalanced(op, terms, mid, hi);
+  return MakeBinary(op, std::move(l), std::move(r));
+}
 
+// Normalizes with an optional pending negation.
 ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
   switch (e->kind) {
     case ExprKind::kUnary:
@@ -120,13 +139,13 @@ ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
     case ExprKind::kBinary: {
       BinaryOp op = e->binary_op;
       if (op == BinaryOp::kAnd || op == BinaryOp::kOr) {
-        ExprPtr l = NormalizeNeg(std::move(e->children[0]), negate);
-        ExprPtr r = NormalizeNeg(std::move(e->children[1]), negate);
-        BinaryOp out_op = op;
+        e->children[0] = NormalizeNeg(std::move(e->children[0]), negate);
+        e->children[1] = NormalizeNeg(std::move(e->children[1]), negate);
         if (negate) {
-          out_op = (op == BinaryOp::kAnd) ? BinaryOp::kOr : BinaryOp::kAnd;
+          e->binary_op =
+              (op == BinaryOp::kAnd) ? BinaryOp::kOr : BinaryOp::kAnd;
         }
-        return MakeBinary(out_op, std::move(l), std::move(r));
+        return e;
       }
       if (IsComparison(op)) {
         if (negate) e->binary_op = InvertComparison(op);
@@ -160,26 +179,28 @@ ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
     }
     case ExprKind::kInList: {
       bool effective_neg = e->negated != negate;
-      ExprPtr lhs = std::move(e->children[0]);
-      // Expand to a chain of (in)equalities, deduplicating identical
-      // disjuncts (after constant removal all items are `?`).
+      BinaryOp op = effective_neg ? BinaryOp::kNe : BinaryOp::kEq;
+      // Expand to (in)equalities, deduplicating identical terms (after
+      // constant removal all items are `?`). A dropped duplicate hands
+      // its copy of the lhs on to the next term.
       std::vector<ExprPtr> terms;
-      std::set<std::string> seen;
+      std::unordered_set<std::string> seen;
+      ExprPtr spare_lhs = std::move(e->children[0]);
       for (std::size_t i = 1; i < e->children.size(); ++i) {
-        BinaryOp op = effective_neg ? BinaryOp::kNe : BinaryOp::kEq;
+        ExprPtr lhs = spare_lhs ? std::move(spare_lhs)
+                                : terms[0]->children[0]->Clone();
         ExprPtr term =
-            MakeBinary(op, lhs->Clone(), std::move(e->children[i]));
-        std::string key = PrintExpr(*term);
-        if (seen.insert(key).second) terms.push_back(std::move(term));
+            MakeBinary(op, std::move(lhs), std::move(e->children[i]));
+        if (seen.insert(PrintExpr(*term)).second) {
+          terms.push_back(std::move(term));
+        } else {
+          spare_lhs = std::move(term->children[0]);
+        }
       }
       LOGR_CHECK(!terms.empty());
-      ExprPtr out = std::move(terms[0]);
-      for (std::size_t i = 1; i < terms.size(); ++i) {
-        // IN = disjunction of equalities; NOT IN = conjunction of !=.
-        out = MakeBinary(effective_neg ? BinaryOp::kAnd : BinaryOp::kOr,
-                         std::move(out), std::move(terms[i]));
-      }
-      return out;
+      // IN = disjunction of equalities; NOT IN = conjunction of !=.
+      return JoinBalanced(effective_neg ? BinaryOp::kAnd : BinaryOp::kOr,
+                          &terms, 0, terms.size());
     }
     case ExprKind::kIsNull:
     case ExprKind::kLike:
@@ -192,14 +213,32 @@ ExprPtr NormalizeNeg(ExprPtr e, bool negate) {
   }
 }
 
-// DNF expansion. Each inner vector is one conjunct list (a disjunct of the
-// DNF). Returns false if the expansion exceeds `cap`.
-bool ToDnf(const Expr& e, std::size_t cap,
-           std::vector<std::vector<const Expr*>>* out) {
+// One disjunct of a DNF: the owning slots of its conjunct atoms.
+using Conjunct = std::vector<ExprPtr*>;
+
+// Collects the atoms of the AND tree in `*slot`, in order. False if an OR
+// joins the atoms, i.e. the DNF has more than one disjunct.
+bool CollectConjuncts(ExprPtr* slot, Conjunct* atoms) {
+  Expr& e = **slot;
   if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kOr) {
-    std::vector<std::vector<const Expr*>> l, r;
-    if (!ToDnf(*e.children[0], cap, &l)) return false;
-    if (!ToDnf(*e.children[1], cap, &r)) return false;
+    return false;
+  }
+  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
+    return CollectConjuncts(&e.children[0], atoms) &&
+           CollectConjuncts(&e.children[1], atoms);
+  }
+  atoms->push_back(slot);
+  return true;
+}
+
+// DNF expansion of the tree in `*slot`. Returns false if the expansion
+// exceeds `cap`.
+bool ToDnf(ExprPtr* slot, std::size_t cap, std::vector<Conjunct>* out) {
+  Expr& e = **slot;
+  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kOr) {
+    std::vector<Conjunct> l, r;
+    if (!ToDnf(&e.children[0], cap, &l)) return false;
+    if (!ToDnf(&e.children[1], cap, &r)) return false;
     out->clear();
     out->reserve(l.size() + r.size());
     for (auto& d : l) out->push_back(std::move(d));
@@ -207,53 +246,56 @@ bool ToDnf(const Expr& e, std::size_t cap,
     return out->size() <= cap;
   }
   if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kAnd) {
-    std::vector<std::vector<const Expr*>> l, r;
-    if (!ToDnf(*e.children[0], cap, &l)) return false;
-    if (!ToDnf(*e.children[1], cap, &r)) return false;
+    std::vector<Conjunct> l, r;
+    if (!ToDnf(&e.children[0], cap, &l)) return false;
+    if (!ToDnf(&e.children[1], cap, &r)) return false;
     if (l.size() * r.size() > cap) return false;
     out->clear();
     out->reserve(l.size() * r.size());
     for (const auto& dl : l) {
       for (const auto& dr : r) {
-        std::vector<const Expr*> merged = dl;
+        Conjunct merged = dl;
         merged.insert(merged.end(), dr.begin(), dr.end());
         out->push_back(std::move(merged));
       }
     }
     return true;
   }
-  out->assign(1, std::vector<const Expr*>{&e});
+  out->assign(1, Conjunct{slot});
   return true;
 }
 
-// Rebuilds a conjunction from atoms, deduplicating by printed form and
-// sorting for canonical ordering.
-ExprPtr BuildConjunction(const std::vector<const Expr*>& atoms) {
-  std::vector<std::pair<std::string, const Expr*>> keyed;
+// Rebuilds a conjunction from atoms, deduplicating by printed form (the
+// first occurrence wins) and sorting for canonical ordering. With
+// `take_atoms` the atoms are moved out of their slots, which is only
+// right when no other disjunct shares them; otherwise they are cloned.
+ExprPtr BuildConjunction(const Conjunct& atoms, bool take_atoms) {
+  // Every atom's key is printed into one buffer.
+  std::string buffer;
+  std::vector<std::size_t> ends;
+  ends.reserve(atoms.size());
+  for (ExprPtr* a : atoms) {
+    AppendExpr(**a, &buffer);
+    ends.push_back(buffer.size());
+  }
+  const std::string_view keys = buffer;
+  std::vector<std::pair<std::string_view, ExprPtr*>> keyed;
   keyed.reserve(atoms.size());
-  std::set<std::string> seen;
-  for (const Expr* a : atoms) {
-    std::string key = PrintExpr(*a);
-    if (seen.insert(key).second) keyed.emplace_back(std::move(key), a);
+  for (std::size_t i = 0; i < atoms.size(); ++i) {
+    const std::size_t begin = i == 0 ? 0 : ends[i - 1];
+    keyed.emplace_back(keys.substr(begin, ends[i] - begin), atoms[i]);
   }
-  std::sort(keyed.begin(), keyed.end(),
-            [](const auto& x, const auto& y) { return x.first < y.first; });
-  ExprPtr out;
-  for (auto& [key, a] : keyed) {
-    (void)key;
-    ExprPtr atom = a->Clone();
-    out = out ? MakeBinary(BinaryOp::kAnd, std::move(out), std::move(atom))
-              : std::move(atom);
+  std::stable_sort(
+      keyed.begin(), keyed.end(),
+      [](const auto& x, const auto& y) { return x.first < y.first; });
+  std::vector<ExprPtr> terms;
+  terms.reserve(keyed.size());
+  for (std::size_t i = 0; i < keyed.size(); ++i) {
+    if (i > 0 && keyed[i].first == keyed[i - 1].first) continue;
+    ExprPtr* slot = keyed[i].second;
+    terms.push_back(take_atoms ? std::move(*slot) : (*slot)->Clone());
   }
-  return out;
-}
-
-bool ExprHasOr(const Expr& e) {
-  if (e.kind == ExprKind::kBinary && e.binary_op == BinaryOp::kOr) return true;
-  for (const auto& c : e.children) {
-    if (c && ExprHasOr(*c)) return true;
-  }
-  return false;
+  return JoinBalanced(BinaryOp::kAnd, &terms, 0, terms.size());
 }
 
 }  // namespace
@@ -345,59 +387,61 @@ bool ExprEquals(const Expr& a, const Expr& b) {
   return PrintExpr(a) == PrintExpr(b);
 }
 
-StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
+StatementPtr Regularize(StatementPtr stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info) {
-  StatementPtr work = stmt.Clone();
-  LowercaseIdentifiers(work.get());
+  // Conjunctive-ness is a property of the original query, judged before
+  // constant removal can merge IN-list items (Table 1 semantics).
+  if (info) info->conjunctive = IsConjunctive(*stmt);
+  LowercaseIdentifiers(stmt.get());
   if (opts.anonymize_constants) {
-    AnonymizeConstants(work.get(), opts.keep_limit_constants);
+    AnonymizeConstants(stmt.get(), opts.keep_limit_constants);
   }
 
   auto out = std::make_unique<Statement>();
-  out->union_all = work->union_all;
+  out->union_all = stmt->union_all;
   bool all_rewritable = true;
 
-  for (auto& select : work->selects) {
-    if (select->where) {
-      select->where = NormalizeBooleanExpr(std::move(select->where));
-    }
-    if (!select->where || !ExprHasOr(*select->where)) {
-      // Already conjunctive (canonicalize atom order).
-      if (select->where) {
-        std::vector<std::vector<const Expr*>> dnf;
-        bool ok = ToDnf(*select->where, opts.max_dnf_disjuncts, &dnf);
-        LOGR_CHECK(ok && dnf.size() == 1);
-        ExprPtr where = BuildConjunction(dnf[0]);
-        select->where = std::move(where);
-      }
-      out->selects.push_back(select->Clone());
+  for (SelectPtr& select : stmt->selects) {
+    if (!select->where) {
+      out->selects.push_back(std::move(select));
       continue;
     }
-    std::vector<std::vector<const Expr*>> dnf;
-    if (!ToDnf(*select->where, opts.max_dnf_disjuncts, &dnf)) {
+    ExprPtr where = NormalizeBooleanExpr(std::move(select->where));
+    Conjunct atoms;
+    if (CollectConjuncts(&where, &atoms)) {
+      // Conjunctive: canonicalize the atom order in place.
+      select->where = BuildConjunction(atoms, /*take_atoms=*/true);
+      out->selects.push_back(std::move(select));
+      continue;
+    }
+    std::vector<Conjunct> dnf;
+    if (!ToDnf(&where, opts.max_dnf_disjuncts, &dnf)) {
       all_rewritable = false;
-      out->selects.push_back(select->Clone());
+      select->where = std::move(where);
+      out->selects.push_back(std::move(select));
       continue;
     }
-    // One UNION branch per disjunct; dedupe identical branches.
-    std::set<std::string> seen_branches;
-    for (const auto& disjunct : dnf) {
-      SelectPtr branch = select->Clone();
-      branch->where = BuildConjunction(disjunct);
-      std::string key = PrintSelect(*branch);
-      if (seen_branches.insert(key).second) {
+    // One UNION branch per disjunct; dedupe identical branches. Disjuncts
+    // share atoms, so each branch gets copies; the last branch reuses the
+    // (now WHERE-less) select itself.
+    std::unordered_set<std::string> seen_branches;
+    for (std::size_t d = 0; d < dnf.size(); ++d) {
+      SelectPtr branch =
+          d + 1 < dnf.size() ? select->Clone() : std::move(select);
+      branch->where = BuildConjunction(dnf[d], /*take_atoms=*/false);
+      if (seen_branches.insert(PrintSelect(*branch)).second) {
         out->selects.push_back(std::move(branch));
       }
     }
   }
 
-  if (info) {
-    info->rewritable = all_rewritable;
-    // Conjunctive-ness is a property of the original query, judged before
-    // constant removal can merge IN-list items (Table 1 semantics).
-    info->conjunctive = IsConjunctive(stmt);
-  }
+  if (info) info->rewritable = all_rewritable;
   return out;
+}
+
+StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
+                        RegularizeInfo* info) {
+  return Regularize(stmt.Clone(), opts, info);
 }
 
 }  // namespace logr::sql

@@ -64,7 +64,12 @@ ExprPtr NormalizeBooleanExpr(ExprPtr e);
 
 /// Full regularization pipeline. Never fails: if DNF expansion blows the
 /// cap, the original (normalized) statement is returned with
-/// `info->rewritable == false`.
+/// `info->rewritable == false`. Consumes `stmt`: its nodes are rewritten
+/// and moved into the result rather than copied.
+StatementPtr Regularize(StatementPtr stmt, const RegularizeOptions& opts,
+                        RegularizeInfo* info);
+
+/// Regularizes a copy of `stmt`.
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info);
 

@@ -1,5 +1,6 @@
 #include "sql/parser.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "sql/lexer.h"
@@ -72,8 +73,45 @@ class Parser {
     if (i >= tokens_.size()) return tokens_.back();
     return tokens_[i];
   }
-  const Token& Advance() { return tokens_[pos_ >= tokens_.size() ? tokens_.size() - 1 : pos_++]; }
+  Token& Advance() {
+    return tokens_[pos_ >= tokens_.size() ? tokens_.size() - 1 : pos_++];
+  }
+  // Consumes the current token and moves its text out; the parser never
+  // looks back at a consumed token.
+  std::string TakeText() { return std::move(Advance().text); }
   bool Check(TokenType t) const { return Peek().type == t; }
+
+  // --- Depth bound (kMaxParseDepth) ------------------------------------
+  // `depth_` counts the recursive constructs being parsed (brackets,
+  // subqueries, prefix operators); `height_` is the height of the tree
+  // the last Parse* call returned, which operator chains grow without
+  // recursing. Both stay within kMaxParseDepth.
+
+  // Scope of one recursive construct.
+  class Nest {
+   public:
+    explicit Nest(Parser* p) : p_(p) { ++p_->depth_; }
+    ~Nest() { --p_->depth_; }
+    Nest(const Nest&) = delete;
+    Nest& operator=(const Nest&) = delete;
+
+   private:
+    Parser* p_;
+  };
+
+  // False, with an error, when `levels` is past the bound.
+  bool WithinBound(int levels) {
+    if (levels <= kMaxParseDepth) return true;
+    SetError(StrFormat("statement nests deeper than %d levels",
+                       kMaxParseDepth));
+    return false;
+  }
+
+  // Records the height of the tree just built; false past the bound.
+  bool SetHeight(int h) {
+    height_ = h;
+    return WithinBound(h);
+  }
 
   bool Accept(std::string_view kw) {
     if (Peek().IsKeyword(kw)) {
@@ -120,6 +158,8 @@ class Parser {
   // --- SELECT ---------------------------------------------------------
 
   SelectPtr ParseSelectBlock() {
+    Nest nest(this);
+    if (!WithinBound(depth_)) return nullptr;
     // Parenthesized select block: ( SELECT ... )
     if (Peek().IsOperator("(") && Peek(1).IsKeyword("SELECT")) {
       Advance();
@@ -130,6 +170,12 @@ class Parser {
     }
     if (!Expect("SELECT")) return nullptr;
     auto select = std::make_unique<SelectStmt>();
+    int h = 0;  // tallest clause so far
+    auto parse_expr = [&]() {
+      ExprPtr e = ParseExpr();
+      if (e) h = std::max(h, height_);
+      return e;
+    };
     if (Accept("DISTINCT")) {
       select->distinct = true;
     } else {
@@ -138,16 +184,16 @@ class Parser {
     // Select list.
     do {
       SelectItem item;
-      item.expr = ParseExpr();
+      item.expr = parse_expr();
       if (!item.expr) return nullptr;
       if (Accept("AS")) {
         if (!Check(TokenType::kIdentifier)) {
           SetError("expected alias after AS");
           return nullptr;
         }
-        item.alias = Advance().text;
+        item.alias = TakeText();
       } else if (Check(TokenType::kIdentifier)) {
-        item.alias = Advance().text;
+        item.alias = TakeText();
       }
       select->items.push_back(std::move(item));
     } while (AcceptOp(","));
@@ -156,24 +202,25 @@ class Parser {
       do {
         TableRefPtr t = ParseTableRef();
         if (!t) return nullptr;
+        h = std::max(h, height_);
         select->from.push_back(std::move(t));
       } while (AcceptOp(","));
     }
     if (Accept("WHERE")) {
-      select->where = ParseExpr();
+      select->where = parse_expr();
       if (!select->where) return nullptr;
     }
     if (Peek().IsKeyword("GROUP")) {
       Advance();
       if (!Expect("BY")) return nullptr;
       do {
-        ExprPtr g = ParseExpr();
+        ExprPtr g = parse_expr();
         if (!g) return nullptr;
         select->group_by.push_back(std::move(g));
       } while (AcceptOp(","));
     }
     if (Accept("HAVING")) {
-      select->having = ParseExpr();
+      select->having = parse_expr();
       if (!select->having) return nullptr;
     }
     if (Peek().IsKeyword("ORDER")) {
@@ -181,7 +228,7 @@ class Parser {
       if (!Expect("BY")) return nullptr;
       do {
         OrderItem o;
-        o.expr = ParseExpr();
+        o.expr = parse_expr();
         if (!o.expr) return nullptr;
         if (Accept("DESC")) {
           o.ascending = false;
@@ -192,17 +239,18 @@ class Parser {
       } while (AcceptOp(","));
     }
     if (Accept("LIMIT")) {
-      select->limit = ParseExpr();
+      select->limit = parse_expr();
       if (!select->limit) return nullptr;
       if (Accept("OFFSET")) {
-        select->offset = ParseExpr();
+        select->offset = parse_expr();
         if (!select->offset) return nullptr;
       } else if (AcceptOp(",")) {  // LIMIT offset, count (MySQL form)
         select->offset = std::move(select->limit);
-        select->limit = ParseExpr();
+        select->limit = parse_expr();
         if (!select->limit) return nullptr;
       }
     }
+    if (!SetHeight(h + 1)) return nullptr;
     return select;
   }
 
@@ -211,6 +259,7 @@ class Parser {
   TableRefPtr ParseTableRef() {
     TableRefPtr left = ParseTablePrimary();
     if (!left) return nullptr;
+    int h = height_;
     for (;;) {
       JoinType jt;
       bool is_join = false;
@@ -243,6 +292,7 @@ class Parser {
 
       TableRefPtr right = ParseTablePrimary();
       if (!right) return nullptr;
+      h = std::max(h, height_);
       auto join = std::make_unique<TableRef>();
       join->kind = TableRefKind::kJoin;
       join->join_type = jt;
@@ -251,13 +301,20 @@ class Parser {
       if (Accept("ON")) {
         join->join_condition = ParseExpr();
         if (!join->join_condition) return nullptr;
+        h = std::max(h, height_);
       }
+      // Joins chain left-deep: each one is a level.
+      if (!SetHeight(h + 1)) return nullptr;
+      h = height_;
       left = std::move(join);
     }
+    height_ = h;
     return left;
   }
 
   TableRefPtr ParseTablePrimary() {
+    Nest nest(this);
+    if (!WithinBound(depth_)) return nullptr;
     auto t = std::make_unique<TableRef>();
     if (Peek().IsOperator("(")) {
       if (Peek(1).IsKeyword("SELECT")) {
@@ -266,6 +323,7 @@ class Parser {
         t->derived = ParseSelectBlock();
         if (!t->derived) return nullptr;
         if (!ExpectOp(")")) return nullptr;
+        if (!SetHeight(height_ + 1)) return nullptr;
       } else {
         // Parenthesized join tree.
         Advance();
@@ -276,12 +334,13 @@ class Parser {
       }
     } else if (Check(TokenType::kIdentifier)) {
       t->kind = TableRefKind::kBaseTable;
-      t->table_name = Advance().text;
+      t->table_name = TakeText();
       // Dotted schema names: schema.table
       while (Peek().IsOperator(".") && Peek(1).type == TokenType::kIdentifier) {
         Advance();
-        t->table_name += "." + Advance().text;
+        t->table_name += "." + TakeText();
       }
+      height_ = 1;
     } else {
       SetError(StrFormat("expected table reference, found '%s'",
                          Peek().text.c_str()));
@@ -292,9 +351,9 @@ class Parser {
         SetError("expected alias after AS");
         return nullptr;
       }
-      t->alias = Advance().text;
+      t->alias = TakeText();
     } else if (Check(TokenType::kIdentifier)) {
-      t->alias = Advance().text;
+      t->alias = TakeText();
     }
     return t;
   }
@@ -311,36 +370,51 @@ class Parser {
   //   additive   := multiplicative ((+ -) multiplicative)*
   //   multiplicative := unary ((* / %) unary)*
   //   unary      := (- +) unary | primary
-  ExprPtr ParseExpr() { return ParseOr(); }
+  ExprPtr ParseExpr() {
+    Nest nest(this);
+    if (!WithinBound(depth_)) return nullptr;
+    return ParseOr();
+  }
 
-  ExprPtr ParseOr() {
-    ExprPtr lhs = ParseAnd();
+  // operand (op operand)*, folded left-deep. `next_op` reports the
+  // operator at the current token, if any, without consuming it.
+  template <typename NextOp>
+  ExprPtr ParseChain(ExprPtr (Parser::*operand)(), NextOp next_op) {
+    ExprPtr lhs = (this->*operand)();
     if (!lhs) return nullptr;
-    while (Peek().IsKeyword("OR")) {
+    int h = height_;
+    BinaryOp op;
+    while (next_op(&op)) {
       Advance();
-      ExprPtr rhs = ParseAnd();
-      if (!rhs) return nullptr;
-      lhs = MakeBinary(BinaryOp::kOr, std::move(lhs), std::move(rhs));
+      ExprPtr rhs = (this->*operand)();
+      if (!rhs || !SetHeight(std::max(h, height_) + 1)) return nullptr;
+      h = height_;
+      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
     }
+    height_ = h;
     return lhs;
   }
 
+  ExprPtr ParseOr() {
+    return ParseChain(&Parser::ParseAnd, [this](BinaryOp* op) {
+      *op = BinaryOp::kOr;
+      return Peek().IsKeyword("OR");
+    });
+  }
+
   ExprPtr ParseAnd() {
-    ExprPtr lhs = ParseNot();
-    if (!lhs) return nullptr;
-    while (Peek().IsKeyword("AND")) {
-      Advance();
-      ExprPtr rhs = ParseNot();
-      if (!rhs) return nullptr;
-      lhs = MakeBinary(BinaryOp::kAnd, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
+    return ParseChain(&Parser::ParseNot, [this](BinaryOp* op) {
+      *op = BinaryOp::kAnd;
+      return Peek().IsKeyword("AND");
+    });
   }
 
   ExprPtr ParseNot() {
     if (Accept("NOT")) {
+      Nest nest(this);
+      if (!WithinBound(depth_)) return nullptr;
       ExprPtr operand = ParseNot();
-      if (!operand) return nullptr;
+      if (!operand || !SetHeight(height_ + 1)) return nullptr;
       return MakeUnary(UnaryOp::kNot, std::move(operand));
     }
     return ParsePredicate();
@@ -349,6 +423,12 @@ class Parser {
   ExprPtr ParsePredicate() {
     ExprPtr lhs = ParseConcat();
     if (!lhs) return nullptr;
+    int h = height_;  // tallest operand so far
+    auto parse_concat = [&]() {
+      ExprPtr e = ParseConcat();
+      if (e) h = std::max(h, height_);
+      return e;
+    };
 
     // Comparison operators.
     static const std::pair<const char*, BinaryOp> kCmps[] = {
@@ -358,8 +438,8 @@ class Parser {
     for (const auto& [op, bop] : kCmps) {
       if (Peek().IsOperator(op)) {
         Advance();
-        ExprPtr rhs = ParseConcat();
-        if (!rhs) return nullptr;
+        ExprPtr rhs = parse_concat();
+        if (!rhs || !SetHeight(h + 1)) return nullptr;
         return MakeBinary(bop, std::move(lhs), std::move(rhs));
       }
     }
@@ -382,6 +462,7 @@ class Parser {
         e->subquery = ParseSelectBlock();
         if (!e->subquery) return nullptr;
         if (!ExpectOp(")")) return nullptr;
+        if (!SetHeight(std::max(h, height_) + 1)) return nullptr;
         return e;
       }
       auto e = std::make_unique<Expr>(ExprKind::kInList);
@@ -390,22 +471,25 @@ class Parser {
       do {
         ExprPtr item = ParseExpr();
         if (!item) return nullptr;
+        h = std::max(h, height_);
         e->children.push_back(std::move(item));
       } while (AcceptOp(","));
       if (!ExpectOp(")")) return nullptr;
+      if (!SetHeight(h + 1)) return nullptr;
       return e;
     }
     if (Accept("BETWEEN")) {
       auto e = std::make_unique<Expr>(ExprKind::kBetween);
       e->negated = negated;
       e->children.push_back(std::move(lhs));
-      ExprPtr lo = ParseConcat();
+      ExprPtr lo = parse_concat();
       if (!lo) return nullptr;
       e->children.push_back(std::move(lo));
       if (!Expect("AND")) return nullptr;
-      ExprPtr hi = ParseConcat();
+      ExprPtr hi = parse_concat();
       if (!hi) return nullptr;
       e->children.push_back(std::move(hi));
+      if (!SetHeight(h + 1)) return nullptr;
       return e;
     }
     if (Peek().IsKeyword("LIKE") || Peek().IsKeyword("GLOB") ||
@@ -414,14 +498,15 @@ class Parser {
       auto e = std::make_unique<Expr>(ExprKind::kLike);
       e->negated = negated;
       e->children.push_back(std::move(lhs));
-      ExprPtr pattern = ParseConcat();
+      ExprPtr pattern = parse_concat();
       if (!pattern) return nullptr;
       e->children.push_back(std::move(pattern));
       if (Accept("ESCAPE")) {
-        ExprPtr esc = ParseConcat();
+        ExprPtr esc = parse_concat();
         if (!esc) return nullptr;
         e->children.push_back(std::move(esc));
       }
+      if (!SetHeight(h + 1)) return nullptr;
       return e;
     }
     if (Accept("IS")) {
@@ -430,91 +515,71 @@ class Parser {
       auto e = std::make_unique<Expr>(ExprKind::kIsNull);
       e->negated = is_not;
       e->children.push_back(std::move(lhs));
+      if (!SetHeight(h + 1)) return nullptr;
       return e;
     }
     return lhs;
   }
 
   ExprPtr ParseConcat() {
-    ExprPtr lhs = ParseAdditive();
-    if (!lhs) return nullptr;
-    while (Peek().IsOperator("||")) {
-      Advance();
-      ExprPtr rhs = ParseAdditive();
-      if (!rhs) return nullptr;
-      lhs = MakeBinary(BinaryOp::kConcat, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
+    return ParseChain(&Parser::ParseAdditive, [this](BinaryOp* op) {
+      *op = BinaryOp::kConcat;
+      return Peek().IsOperator("||");
+    });
   }
 
   ExprPtr ParseAdditive() {
-    ExprPtr lhs = ParseMultiplicative();
-    if (!lhs) return nullptr;
-    for (;;) {
-      BinaryOp op;
-      if (Peek().IsOperator("+")) op = BinaryOp::kAdd;
-      else if (Peek().IsOperator("-")) op = BinaryOp::kSub;
-      else break;
-      Advance();
-      ExprPtr rhs = ParseMultiplicative();
-      if (!rhs) return nullptr;
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
+    return ParseChain(&Parser::ParseMultiplicative, [this](BinaryOp* op) {
+      if (Peek().IsOperator("+")) *op = BinaryOp::kAdd;
+      else if (Peek().IsOperator("-")) *op = BinaryOp::kSub;
+      else return false;
+      return true;
+    });
   }
 
   ExprPtr ParseMultiplicative() {
-    ExprPtr lhs = ParseUnary();
-    if (!lhs) return nullptr;
-    for (;;) {
-      BinaryOp op;
-      if (Peek().IsOperator("*")) op = BinaryOp::kMul;
-      else if (Peek().IsOperator("/")) op = BinaryOp::kDiv;
-      else if (Peek().IsOperator("%")) op = BinaryOp::kMod;
-      else break;
-      Advance();
-      ExprPtr rhs = ParseUnary();
-      if (!rhs) return nullptr;
-      lhs = MakeBinary(op, std::move(lhs), std::move(rhs));
-    }
-    return lhs;
+    return ParseChain(&Parser::ParseUnary, [this](BinaryOp* op) {
+      if (Peek().IsOperator("*")) *op = BinaryOp::kMul;
+      else if (Peek().IsOperator("/")) *op = BinaryOp::kDiv;
+      else if (Peek().IsOperator("%")) *op = BinaryOp::kMod;
+      else return false;
+      return true;
+    });
   }
 
   ExprPtr ParseUnary() {
-    if (Peek().IsOperator("-")) {
-      Advance();
-      ExprPtr operand = ParseUnary();
-      if (!operand) return nullptr;
-      return MakeUnary(UnaryOp::kNeg, std::move(operand));
-    }
-    if (Peek().IsOperator("+")) {
-      Advance();
-      ExprPtr operand = ParseUnary();
-      if (!operand) return nullptr;
-      return MakeUnary(UnaryOp::kPlus, std::move(operand));
-    }
-    return ParsePrimary();
+    UnaryOp op;
+    if (Peek().IsOperator("-")) op = UnaryOp::kNeg;
+    else if (Peek().IsOperator("+")) op = UnaryOp::kPlus;
+    else return ParsePrimary();
+    Advance();
+    Nest nest(this);
+    if (!WithinBound(depth_)) return nullptr;
+    ExprPtr operand = ParseUnary();
+    if (!operand || !SetHeight(height_ + 1)) return nullptr;
+    return MakeUnary(op, std::move(operand));
   }
 
   ExprPtr ParsePrimary() {
     const Token& t = Peek();
+    height_ = 1;  // leaves; the composite cases below set their own
     switch (t.type) {
       case TokenType::kInteger: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kInteger;
-        e->literal_text = Advance().text;
+        e->literal_text = TakeText();
         return e;
       }
       case TokenType::kFloat: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kFloat;
-        e->literal_text = Advance().text;
+        e->literal_text = TakeText();
         return e;
       }
       case TokenType::kString: {
         auto e = std::make_unique<Expr>(ExprKind::kLiteral);
         e->literal_kind = LiteralKind::kString;
-        e->literal_text = Advance().text;
+        e->literal_text = TakeText();
         return e;
       }
       case TokenType::kParameter:
@@ -541,6 +606,7 @@ class Parser {
           e->subquery = ParseSelectBlock();
           if (!e->subquery) return nullptr;
           if (!ExpectOp(")")) return nullptr;
+          if (!SetHeight(height_ + 1)) return nullptr;
           return e;
         }
         if (t.text == "CAST") {
@@ -549,12 +615,12 @@ class Parser {
           auto e = std::make_unique<Expr>(ExprKind::kFunction);
           e->column = "CAST";
           ExprPtr inner = ParseExpr();
-          if (!inner) return nullptr;
+          if (!inner || !SetHeight(height_ + 1)) return nullptr;
           e->children.push_back(std::move(inner));
           if (!Expect("AS")) return nullptr;
           // Type name: one identifier/keyword plus optional (n[,m]).
           if (Check(TokenType::kIdentifier) || Check(TokenType::kKeyword)) {
-            e->table = Advance().text;  // store type name in `table`
+            e->table = TakeText();  // store type name in `table`
           } else {
             SetError("expected type name in CAST");
             return nullptr;
@@ -580,6 +646,7 @@ class Parser {
             e->subquery = ParseSelectBlock();
             if (!e->subquery) return nullptr;
             if (!ExpectOp(")")) return nullptr;
+            if (!SetHeight(height_ + 1)) return nullptr;
             return e;
           }
           ExprPtr inner = ParseExpr();
@@ -595,7 +662,7 @@ class Parser {
         return nullptr;
       }
       case TokenType::kIdentifier: {
-        std::string first = Advance().text;
+        std::string first = TakeText();
         // Function call?
         if (Peek().IsOperator("(")) {
           return ParseFunctionCall(std::move(first));
@@ -611,7 +678,7 @@ class Parser {
           }
           if (Check(TokenType::kIdentifier) ||
               Check(TokenType::kKeyword)) {
-            std::string col = Advance().text;
+            std::string col = TakeText();
             if (Peek().IsOperator("(")) {
               // schema-qualified function, e.g. upper(name)
               return ParseFunctionCall(first + "." + col);
@@ -633,17 +700,23 @@ class Parser {
     // Consume CASE.
     Accept("CASE");
     auto e = std::make_unique<Expr>(ExprKind::kCase);
+    int h = 0;  // tallest part so far
+    auto parse_part = [&]() {
+      ExprPtr part = ParseExpr();
+      if (part) h = std::max(h, height_);
+      return part;
+    };
     if (!Peek().IsKeyword("WHEN")) {
       e->has_case_operand = true;
-      ExprPtr operand = ParseExpr();
+      ExprPtr operand = parse_part();
       if (!operand) return nullptr;
       e->children.push_back(std::move(operand));
     }
     while (Accept("WHEN")) {
-      ExprPtr cond = ParseExpr();
+      ExprPtr cond = parse_part();
       if (!cond) return nullptr;
       if (!Expect("THEN")) return nullptr;
-      ExprPtr value = ParseExpr();
+      ExprPtr value = parse_part();
       if (!value) return nullptr;
       e->children.push_back(std::move(cond));
       e->children.push_back(std::move(value));
@@ -655,11 +728,12 @@ class Parser {
     }
     if (Accept("ELSE")) {
       e->has_else = true;
-      ExprPtr value = ParseExpr();
+      ExprPtr value = parse_part();
       if (!value) return nullptr;
       e->children.push_back(std::move(value));
     }
     if (!Expect("END")) return nullptr;
+    if (!SetHeight(h + 1)) return nullptr;
     return e;
   }
 
@@ -669,14 +743,17 @@ class Parser {
     auto e = std::make_unique<Expr>(ExprKind::kFunction);
     e->column = std::move(name);
     if (Accept("DISTINCT")) e->distinct_arg = true;
+    int h = 0;  // tallest argument so far
     if (!Peek().IsOperator(")")) {
       do {
         ExprPtr arg = ParseExpr();
         if (!arg) return nullptr;
+        h = std::max(h, height_);
         e->children.push_back(std::move(arg));
       } while (AcceptOp(","));
     }
     if (!ExpectOp(")")) return nullptr;
+    if (!SetHeight(h + 1)) return nullptr;
     return e;
   }
 
@@ -684,6 +761,8 @@ class Parser {
   std::size_t pos_ = 0;
   std::string error_;
   std::size_t error_pos_ = 0;
+  int depth_ = 0;
+  int height_ = 0;
 };
 
 }  // namespace

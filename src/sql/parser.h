@@ -36,6 +36,18 @@ struct ParseResult {
   bool ok() const { return kind == StatementKind::kSelect; }
 };
 
+/// How deep a statement Parse accepts. It bounds both the nesting of
+/// brackets, subqueries and prefix operators (NOT, unary minus) and the
+/// height of the syntax tree, which a chain of binary operators or joins
+/// (`a AND b AND c ...`) grows by one level per operator. Every later
+/// pass over the tree (regularize, print, extract, clone, destroy)
+/// recurses once per level, so this bound is what keeps one hostile line
+/// from overflowing the stack. Deeper input is a kParseError. The parser
+/// itself recurses about ten calls per bracket level, ~2 KB of stack in
+/// a Release build and ~15 KB under AddressSanitizer, so 256 levels stay
+/// under 4 MB of an 8 MB stack in every build the suite runs.
+inline constexpr int kMaxParseDepth = 256;
+
 /// Parses one SQL statement (trailing semicolon permitted).
 ParseResult Parse(std::string_view sql);
 

@@ -1,7 +1,6 @@
 #include "sql/printer.h"
 
 #include "util/check.h"
-#include "util/string_util.h"
 
 namespace logr::sql {
 
@@ -56,26 +55,33 @@ const char* BinaryOpText(BinaryOp op) {
   return "?";
 }
 
-std::string PrintChild(const Expr& parent, const Expr& child) {
-  std::string s = PrintExpr(child);
-  if (Precedence(child) < Precedence(parent)) {
-    return "(" + s + ")";
-  }
-  return s;
+void AppendChild(const Expr& parent, const Expr& child, std::string* out) {
+  const bool paren = Precedence(child) < Precedence(parent);
+  if (paren) out->push_back('(');
+  AppendExpr(child, out);
+  if (paren) out->push_back(')');
 }
 
-std::string PrintTableRef(const TableRef& t) {
+// Appends the items of `list` from index `begin` on, comma-separated.
+template <typename List, typename AppendOne>
+void AppendList(const List& list, std::size_t begin, std::string* out,
+                AppendOne append_one) {
+  for (std::size_t i = begin; i < list.size(); ++i) {
+    if (i > begin) out->append(", ");
+    append_one(list[i]);
+  }
+}
+
+void AppendTableRef(const TableRef& t, std::string* out) {
   switch (t.kind) {
-    case TableRefKind::kBaseTable: {
-      std::string s = t.table_name;
-      if (!t.alias.empty()) s += " " + t.alias;
-      return s;
-    }
-    case TableRefKind::kDerived: {
-      std::string s = "(" + PrintSelect(*t.derived) + ")";
-      if (!t.alias.empty()) s += " " + t.alias;
-      return s;
-    }
+    case TableRefKind::kBaseTable:
+      out->append(t.table_name);
+      break;
+    case TableRefKind::kDerived:
+      out->push_back('(');
+      AppendSelect(*t.derived, out);
+      out->push_back(')');
+      break;
     case TableRefKind::kJoin: {
       const char* kw = "JOIN";
       switch (t.join_type) {
@@ -85,157 +91,224 @@ std::string PrintTableRef(const TableRef& t) {
         case JoinType::kFull: kw = "FULL JOIN"; break;
         case JoinType::kCross: kw = "CROSS JOIN"; break;
       }
-      std::string s =
-          PrintTableRef(*t.left) + " " + kw + " " + PrintTableRef(*t.right);
+      AppendTableRef(*t.left, out);
+      out->push_back(' ');
+      out->append(kw);
+      out->push_back(' ');
+      AppendTableRef(*t.right, out);
       if (t.join_condition) {
-        s += " ON " + PrintExpr(*t.join_condition);
+        out->append(" ON ");
+        AppendExpr(*t.join_condition, out);
       }
-      return s;
+      return;
     }
   }
-  return "";
+  if (!t.alias.empty()) {
+    out->push_back(' ');
+    out->append(t.alias);
+  }
 }
 
-std::string QuoteString(const std::string& raw) {
-  std::string out = "'";
+void AppendQuoted(const std::string& raw, std::string* out) {
+  out->push_back('\'');
   for (char c : raw) {
-    if (c == '\'') out += "''";
-    else out.push_back(c);
+    if (c == '\'') out->push_back('\'');
+    out->push_back(c);
   }
-  out += "'";
-  return out;
+  out->push_back('\'');
 }
 
 }  // namespace
 
-std::string PrintExpr(const Expr& e) {
+void AppendExpr(const Expr& e, std::string* out) {
   switch (e.kind) {
     case ExprKind::kColumnRef:
-      return e.table.empty() ? e.column : e.table + "." + e.column;
+      if (!e.table.empty()) {
+        out->append(e.table);
+        out->push_back('.');
+      }
+      out->append(e.column);
+      return;
     case ExprKind::kLiteral:
       switch (e.literal_kind) {
-        case LiteralKind::kString: return QuoteString(e.literal_text);
-        case LiteralKind::kNull: return "NULL";
-        case LiteralKind::kBool: return e.bool_value ? "TRUE" : "FALSE";
-        default: return e.literal_text;
+        case LiteralKind::kString: AppendQuoted(e.literal_text, out); return;
+        case LiteralKind::kNull: out->append("NULL"); return;
+        case LiteralKind::kBool:
+          out->append(e.bool_value ? "TRUE" : "FALSE");
+          return;
+        default: out->append(e.literal_text); return;
       }
     case ExprKind::kParameter:
-      return "?";
+      out->push_back('?');
+      return;
     case ExprKind::kStar:
-      return e.table.empty() ? "*" : e.table + ".*";
-    case ExprKind::kUnary: {
-      const Expr& c = *e.children[0];
+      if (!e.table.empty()) {
+        out->append(e.table);
+        out->push_back('.');
+      }
+      out->push_back('*');
+      return;
+    case ExprKind::kUnary:
       switch (e.unary_op) {
-        case UnaryOp::kNot: return "NOT " + PrintChild(e, c);
-        case UnaryOp::kNeg: return "-" + PrintChild(e, c);
-        case UnaryOp::kPlus: return "+" + PrintChild(e, c);
+        case UnaryOp::kNot: out->append("NOT "); break;
+        case UnaryOp::kNeg: out->push_back('-'); break;
+        case UnaryOp::kPlus: out->push_back('+'); break;
       }
-      return "";
-    }
+      AppendChild(e, *e.children[0], out);
+      return;
     case ExprKind::kBinary:
-      return PrintChild(e, *e.children[0]) + " " +
-             BinaryOpText(e.binary_op) + " " + PrintChild(e, *e.children[1]);
-    case ExprKind::kFunction: {
+      AppendChild(e, *e.children[0], out);
+      out->push_back(' ');
+      out->append(BinaryOpText(e.binary_op));
+      out->push_back(' ');
+      AppendChild(e, *e.children[1], out);
+      return;
+    case ExprKind::kFunction:
       if (e.column == "CAST" && e.children.size() == 1) {
-        return "CAST(" + PrintExpr(*e.children[0]) + " AS " + e.table + ")";
+        out->append("CAST(");
+        AppendExpr(*e.children[0], out);
+        out->append(" AS ");
+        out->append(e.table);
+        out->push_back(')');
+        return;
       }
-      std::vector<std::string> args;
-      for (const auto& c : e.children) args.push_back(PrintExpr(*c));
-      return e.column + "(" + (e.distinct_arg ? "DISTINCT " : "") +
-             Join(args, ", ") + ")";
-    }
-    case ExprKind::kInList: {
-      std::vector<std::string> items;
-      for (std::size_t i = 1; i < e.children.size(); ++i) {
-        items.push_back(PrintExpr(*e.children[i]));
-      }
-      return PrintChild(e, *e.children[0]) + (e.negated ? " NOT IN (" : " IN (") +
-             Join(items, ", ") + ")";
-    }
+      out->append(e.column);
+      out->push_back('(');
+      if (e.distinct_arg) out->append("DISTINCT ");
+      AppendList(e.children, 0, out,
+                 [out](const ExprPtr& c) { AppendExpr(*c, out); });
+      out->push_back(')');
+      return;
+    case ExprKind::kInList:
+      AppendChild(e, *e.children[0], out);
+      out->append(e.negated ? " NOT IN (" : " IN (");
+      AppendList(e.children, 1, out,
+                 [out](const ExprPtr& c) { AppendExpr(*c, out); });
+      out->push_back(')');
+      return;
     case ExprKind::kInSubquery:
-      return PrintChild(e, *e.children[0]) +
-             (e.negated ? " NOT IN (" : " IN (") + PrintSelect(*e.subquery) +
-             ")";
+      AppendChild(e, *e.children[0], out);
+      out->append(e.negated ? " NOT IN (" : " IN (");
+      AppendSelect(*e.subquery, out);
+      out->push_back(')');
+      return;
     case ExprKind::kBetween:
-      return PrintChild(e, *e.children[0]) +
-             (e.negated ? " NOT BETWEEN " : " BETWEEN ") +
-             PrintChild(e, *e.children[1]) + " AND " +
-             PrintChild(e, *e.children[2]);
+      AppendChild(e, *e.children[0], out);
+      out->append(e.negated ? " NOT BETWEEN " : " BETWEEN ");
+      AppendChild(e, *e.children[1], out);
+      out->append(" AND ");
+      AppendChild(e, *e.children[2], out);
+      return;
     case ExprKind::kIsNull:
-      return PrintChild(e, *e.children[0]) +
-             (e.negated ? " IS NOT NULL" : " IS NULL");
-    case ExprKind::kLike: {
-      std::string s = PrintChild(e, *e.children[0]) +
-                      (e.negated ? " NOT LIKE " : " LIKE ") +
-                      PrintChild(e, *e.children[1]);
-      if (e.children.size() > 2) s += " ESCAPE " + PrintExpr(*e.children[2]);
-      return s;
-    }
+      AppendChild(e, *e.children[0], out);
+      out->append(e.negated ? " IS NOT NULL" : " IS NULL");
+      return;
+    case ExprKind::kLike:
+      AppendChild(e, *e.children[0], out);
+      out->append(e.negated ? " NOT LIKE " : " LIKE ");
+      AppendChild(e, *e.children[1], out);
+      if (e.children.size() > 2) {
+        out->append(" ESCAPE ");
+        AppendExpr(*e.children[2], out);
+      }
+      return;
     case ExprKind::kExists:
-      return std::string(e.negated ? "NOT " : "") + "EXISTS (" +
-             PrintSelect(*e.subquery) + ")";
+      if (e.negated) out->append("NOT ");
+      out->append("EXISTS (");
+      AppendSelect(*e.subquery, out);
+      out->push_back(')');
+      return;
     case ExprKind::kCase: {
-      std::string s = "CASE";
+      out->append("CASE");
       std::size_t idx = 0;
       if (e.has_case_operand) {
-        s += " " + PrintExpr(*e.children[idx++]);
+        out->push_back(' ');
+        AppendExpr(*e.children[idx++], out);
       }
       for (std::size_t w = 0; w < e.n_when; ++w) {
-        s += " WHEN " + PrintExpr(*e.children[idx++]);
-        s += " THEN " + PrintExpr(*e.children[idx++]);
+        out->append(" WHEN ");
+        AppendExpr(*e.children[idx++], out);
+        out->append(" THEN ");
+        AppendExpr(*e.children[idx++], out);
       }
       if (e.has_else) {
-        s += " ELSE " + PrintExpr(*e.children[idx++]);
+        out->append(" ELSE ");
+        AppendExpr(*e.children[idx++], out);
       }
-      s += " END";
-      return s;
+      out->append(" END");
+      return;
     }
     case ExprKind::kSubquery:
-      return "(" + PrintSelect(*e.subquery) + ")";
+      out->push_back('(');
+      AppendSelect(*e.subquery, out);
+      out->push_back(')');
+      return;
   }
-  return "";
+}
+
+void AppendSelect(const SelectStmt& s, std::string* out) {
+  out->append(s.distinct ? "SELECT DISTINCT " : "SELECT ");
+  AppendList(s.items, 0, out, [out](const SelectItem& item) {
+    AppendExpr(*item.expr, out);
+    if (!item.alias.empty()) {
+      out->append(" AS ");
+      out->append(item.alias);
+    }
+  });
+  if (!s.from.empty()) {
+    out->append(" FROM ");
+    AppendList(s.from, 0, out,
+               [out](const TableRefPtr& t) { AppendTableRef(*t, out); });
+  }
+  if (s.where) {
+    out->append(" WHERE ");
+    AppendExpr(*s.where, out);
+  }
+  if (!s.group_by.empty()) {
+    out->append(" GROUP BY ");
+    AppendList(s.group_by, 0, out,
+               [out](const ExprPtr& g) { AppendExpr(*g, out); });
+  }
+  if (s.having) {
+    out->append(" HAVING ");
+    AppendExpr(*s.having, out);
+  }
+  if (!s.order_by.empty()) {
+    out->append(" ORDER BY ");
+    AppendList(s.order_by, 0, out, [out](const OrderItem& o) {
+      AppendExpr(*o.expr, out);
+      if (!o.ascending) out->append(" DESC");
+    });
+  }
+  if (s.limit) {
+    out->append(" LIMIT ");
+    AppendExpr(*s.limit, out);
+  }
+  if (s.offset) {
+    out->append(" OFFSET ");
+    AppendExpr(*s.offset, out);
+  }
+}
+
+std::string PrintExpr(const Expr& e) {
+  std::string out;
+  AppendExpr(e, &out);
+  return out;
 }
 
 std::string PrintSelect(const SelectStmt& s) {
-  std::string out = "SELECT ";
-  if (s.distinct) out += "DISTINCT ";
-  std::vector<std::string> items;
-  for (const auto& item : s.items) {
-    std::string t = PrintExpr(*item.expr);
-    if (!item.alias.empty()) t += " AS " + item.alias;
-    items.push_back(std::move(t));
-  }
-  out += Join(items, ", ");
-  if (!s.from.empty()) {
-    std::vector<std::string> tables;
-    for (const auto& t : s.from) tables.push_back(PrintTableRef(*t));
-    out += " FROM " + Join(tables, ", ");
-  }
-  if (s.where) out += " WHERE " + PrintExpr(*s.where);
-  if (!s.group_by.empty()) {
-    std::vector<std::string> gs;
-    for (const auto& g : s.group_by) gs.push_back(PrintExpr(*g));
-    out += " GROUP BY " + Join(gs, ", ");
-  }
-  if (s.having) out += " HAVING " + PrintExpr(*s.having);
-  if (!s.order_by.empty()) {
-    std::vector<std::string> os;
-    for (const auto& o : s.order_by) {
-      os.push_back(PrintExpr(*o.expr) + (o.ascending ? "" : " DESC"));
-    }
-    out += " ORDER BY " + Join(os, ", ");
-  }
-  if (s.limit) out += " LIMIT " + PrintExpr(*s.limit);
-  if (s.offset) out += " OFFSET " + PrintExpr(*s.offset);
+  std::string out;
+  AppendSelect(s, &out);
   return out;
 }
 
 std::string PrintStatement(const Statement& s) {
   LOGR_CHECK(!s.selects.empty());
-  std::string out = PrintSelect(*s.selects[0]);
+  std::string out;
+  AppendSelect(*s.selects[0], &out);
   for (std::size_t i = 1; i < s.selects.size(); ++i) {
-    out += s.union_all ? " UNION ALL " : " UNION ";
-    out += PrintSelect(*s.selects[i]);
+    out.append(s.union_all ? " UNION ALL " : " UNION ");
+    AppendSelect(*s.selects[i], &out);
   }
   return out;
 }

@@ -4,6 +4,10 @@
 // normalizer lowercases them), minimal parentheses driven by operator
 // precedence. Round-tripping Parse(Print(ast)) yields an equal AST, which
 // the test-suite checks property-style.
+//
+// The Append* functions render into the end of a caller-owned buffer, so
+// a whole tree costs one growing string instead of one per node; the
+// Print* functions are wrappers that start from an empty one.
 #ifndef LOGR_SQL_PRINTER_H_
 #define LOGR_SQL_PRINTER_H_
 
@@ -12,6 +16,10 @@
 #include "sql/ast.h"
 
 namespace logr::sql {
+
+/// Appends the rendering of `e` / `s` to `out`.
+void AppendExpr(const Expr& e, std::string* out);
+void AppendSelect(const SelectStmt& s, std::string* out);
 
 /// Renders an expression.
 std::string PrintExpr(const Expr& e);

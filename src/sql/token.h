@@ -32,9 +32,6 @@ struct Token {
   }
 };
 
-/// Returns true if `word` (uppercase) is a reserved SQL keyword.
-bool IsReservedKeyword(std::string_view upper_word);
-
 }  // namespace logr::sql
 
 #endif  // LOGR_SQL_TOKEN_H_

@@ -1,6 +1,10 @@
 #include "workload/extractor.h"
 
-#include <set>
+#include <algorithm>
+#include <functional>
+#include <numeric>
+#include <string>
+#include <tuple>
 
 #include "sql/printer.h"
 #include "util/check.h"
@@ -16,62 +20,60 @@ using sql::SelectStmt;
 using sql::TableRef;
 using sql::TableRefKind;
 
-/// Collects features of one statement into an ordered, deduplicated set.
+/// Walks the features of one statement in clause order.
 class Collector {
  public:
-  explicit Collector(const ExtractOptions& opts) : opts_(opts) {}
+  Collector(const ExtractOptions& opts,
+            const std::function<void(const Feature&)>& visit)
+      : opts_(opts), visit_(visit) {}
 
   void AddStatement(const sql::Statement& stmt) {
     for (const auto& s : stmt.selects) AddSelect(*s);
   }
 
-  std::vector<Feature> TakeFeatures() {
-    std::vector<Feature> out;
-    out.reserve(ordered_.size());
-    for (auto& f : ordered_) out.push_back(std::move(f));
-    return out;
-  }
-
  private:
-  void Add(FeatureClause clause, std::string text) {
-    std::string key(1, static_cast<char>('0' + static_cast<int>(clause)));
-    key += text;
-    if (seen_.insert(std::move(key)).second) {
-      ordered_.push_back(Feature{clause, std::move(text)});
-    }
+  // Renders `prefix` + `e` into the scratch feature and visits it.
+  void AddExpr(FeatureClause clause, const char* prefix, const Expr& e) {
+    feature_.clause = clause;
+    feature_.text.assign(prefix);
+    sql::AppendExpr(e, &feature_.text);
+    visit_(feature_);
   }
 
   void AddSelect(const SelectStmt& s) {
     for (const auto& item : s.items) {
-      Add(FeatureClause::kSelect, sql::PrintExpr(*item.expr));
+      AddExpr(FeatureClause::kSelect, "", *item.expr);
     }
     for (const auto& t : s.from) AddTableRef(*t);
     if (s.where) AddConjunction(*s.where);
     if (s.having) AddConjunction(*s.having);
     if (opts_.extended_clauses) {
       for (const auto& g : s.group_by) {
-        Add(FeatureClause::kGroupBy, sql::PrintExpr(*g));
+        AddExpr(FeatureClause::kGroupBy, "", *g);
       }
       for (const auto& o : s.order_by) {
-        Add(FeatureClause::kOrderBy,
-            std::string(o.ascending ? "asc " : "desc ") +
-                sql::PrintExpr(*o.expr));
+        AddExpr(FeatureClause::kOrderBy, o.ascending ? "asc " : "desc ",
+                *o.expr);
       }
-      if (s.limit) {
-        Add(FeatureClause::kLimit, "limit " + sql::PrintExpr(*s.limit));
-      }
+      if (s.limit) AddExpr(FeatureClause::kLimit, "limit ", *s.limit);
     }
   }
 
   void AddTableRef(const TableRef& t) {
     switch (t.kind) {
       case TableRefKind::kBaseTable:
-        Add(FeatureClause::kFrom, t.table_name);
+        feature_.clause = FeatureClause::kFrom;
+        feature_.text = t.table_name;
+        visit_(feature_);
         break;
       case TableRefKind::kDerived:
         // A subquery in FROM is a single feature (Aligon); its own
         // clauses are not flattened into the outer query.
-        Add(FeatureClause::kFrom, "(" + sql::PrintSelect(*t.derived) + ")");
+        feature_.clause = FeatureClause::kFrom;
+        feature_.text.assign("(");
+        sql::AppendSelect(*t.derived, &feature_.text);
+        feature_.text.push_back(')');
+        visit_(feature_);
         break;
       case TableRefKind::kJoin:
         AddTableRef(*t.left);
@@ -90,29 +92,56 @@ class Collector {
       AddConjunction(*e.children[1]);
       return;
     }
-    Add(FeatureClause::kWhere, sql::PrintExpr(e));
+    AddExpr(FeatureClause::kWhere, "", e);
   }
 
-  ExtractOptions opts_;
-  std::set<std::string> seen_;
-  std::vector<Feature> ordered_;
+  const ExtractOptions& opts_;
+  const std::function<void(const Feature&)>& visit_;
+  Feature feature_;  // scratch: the feature being rendered
 };
+
+// Calls `visit` for every feature occurrence of `stmt`, in clause order;
+// a feature that occurs twice is visited twice. The Feature passed is
+// only valid during the call.
+void VisitFeatures(const sql::Statement& stmt, const ExtractOptions& opts,
+                   const std::function<void(const Feature&)>& visit) {
+  Collector(opts, visit).AddStatement(stmt);
+}
 
 }  // namespace
 
 std::vector<Feature> ListFeatures(const sql::Statement& stmt,
                                   const ExtractOptions& opts) {
-  Collector c(opts);
-  c.AddStatement(stmt);
-  return c.TakeFeatures();
+  std::vector<Feature> all;
+  VisitFeatures(stmt, opts, [&](const Feature& f) { all.push_back(f); });
+  // Keep the first occurrence of each feature: sort positions by feature,
+  // earlier positions first among equals, and drop the later ones.
+  std::vector<std::size_t> order(all.size());
+  std::iota(order.begin(), order.end(), 0);
+  std::stable_sort(order.begin(), order.end(),
+                   [&](std::size_t a, std::size_t b) {
+                     return std::tie(all[a].clause, all[a].text) <
+                            std::tie(all[b].clause, all[b].text);
+                   });
+  std::vector<bool> repeat(all.size(), false);
+  for (std::size_t i = 1; i < order.size(); ++i) {
+    repeat[order[i]] = all[order[i]] == all[order[i - 1]];
+  }
+  std::vector<Feature> out;
+  out.reserve(all.size());
+  for (std::size_t i = 0; i < all.size(); ++i) {
+    if (!repeat[i]) out.push_back(std::move(all[i]));
+  }
+  return out;
 }
 
 FeatureVec ExtractFeatures(const sql::Statement& stmt,
                            const ExtractOptions& opts, Vocabulary* vocab) {
+  // Interning in walk order assigns new ids in first-seen order; the
+  // FeatureVec drops repeated ids.
   std::vector<FeatureId> ids;
-  for (const Feature& f : ListFeatures(stmt, opts)) {
-    ids.push_back(vocab->Intern(f));
-  }
+  VisitFeatures(stmt, opts,
+                [&](const Feature& f) { ids.push_back(vocab->Intern(f)); });
   return FeatureVec(std::move(ids));
 }
 
@@ -120,10 +149,10 @@ FeatureVec ExtractFeaturesFrozen(const sql::Statement& stmt,
                                  const ExtractOptions& opts,
                                  const Vocabulary& vocab) {
   std::vector<FeatureId> ids;
-  for (const Feature& f : ListFeatures(stmt, opts)) {
+  VisitFeatures(stmt, opts, [&](const Feature& f) {
     FeatureId id = vocab.Find(f);
     if (id != Vocabulary::kNotFound) ids.push_back(id);
-  }
+  });
   return FeatureVec(std::move(ids));
 }
 

@@ -35,7 +35,8 @@ FeatureVec ExtractFeaturesFrozen(const sql::Statement& stmt,
                                  const ExtractOptions& opts,
                                  const Vocabulary& vocab);
 
-/// Lists the features of `stmt` without touching a vocabulary.
+/// Lists the distinct features of `stmt` in first-seen order, without
+/// touching a vocabulary.
 std::vector<Feature> ListFeatures(const sql::Statement& stmt,
                                   const ExtractOptions& opts);
 

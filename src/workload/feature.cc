@@ -20,25 +20,18 @@ std::string Feature::ToString() const {
   return "<" + text + ", " + FeatureClauseName(clause) + ">";
 }
 
-std::string Vocabulary::Key(const Feature& f) {
-  std::string key(1, static_cast<char>('0' + static_cast<int>(f.clause)));
-  key += f.text;
-  return key;
-}
-
 FeatureId Vocabulary::Intern(const Feature& f) {
-  std::string key = Key(f);
-  auto it = index_.find(key);
-  if (it != index_.end()) return it->second;
-  FeatureId id = static_cast<FeatureId>(features_.size());
-  features_.push_back(f);
-  index_.emplace(std::move(key), id);
-  return id;
+  const FeatureId next = static_cast<FeatureId>(features_.size());
+  const auto [it, inserted] =
+      index_[static_cast<std::size_t>(f.clause)].try_emplace(f.text, next);
+  if (inserted) features_.push_back(f);
+  return it->second;
 }
 
 FeatureId Vocabulary::Find(const Feature& f) const {
-  auto it = index_.find(Key(f));
-  return it == index_.end() ? kNotFound : it->second;
+  const auto& index = index_[static_cast<std::size_t>(f.clause)];
+  auto it = index.find(f.text);
+  return it == index.end() ? kNotFound : it->second;
 }
 
 const Feature& Vocabulary::Get(FeatureId id) const {

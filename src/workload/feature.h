@@ -9,6 +9,7 @@
 #ifndef LOGR_WORKLOAD_FEATURE_H_
 #define LOGR_WORKLOAD_FEATURE_H_
 
+#include <array>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -24,6 +25,10 @@ enum class FeatureClause : std::uint8_t {
   kOrderBy,
   kLimit,
 };
+
+/// Number of FeatureClause values.
+inline constexpr std::size_t kNumFeatureClauses =
+    static_cast<std::size_t>(FeatureClause::kLimit) + 1;
 
 /// Human-readable clause tag ("SELECT", "FROM", ...).
 const char* FeatureClauseName(FeatureClause clause);
@@ -63,10 +68,10 @@ class Vocabulary {
   std::size_t size() const { return features_.size(); }
 
  private:
-  static std::string Key(const Feature& f);
-
   std::vector<Feature> features_;
-  std::unordered_map<std::string, FeatureId> index_;
+  // One text -> id index per clause.
+  std::array<std::unordered_map<std::string, FeatureId>, kNumFeatureClauses>
+      index_;
 };
 
 }  // namespace logr

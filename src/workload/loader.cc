@@ -22,14 +22,21 @@ bool LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
   }
   num_queries_ += count;
 
+  // AddSql is exactly the public calls below plus its own bookkeeping
+  // (distinct sets, interning, the log): logrbench's traced run replays
+  // those calls and requires AddSql's remaining self time to be >= 0.
+  // Hence both passes regularize a copy of the parse tree, as the replay
+  // does; consuming the tree in the last pass would save one copy but
+  // leave AddSql doing less work than its replay.
+
   // Primary pass: constant-free regularization feeding the QueryLog.
   sql::RegularizeInfo info;
   sql::StatementPtr regular =
       sql::Regularize(*parsed.statement, opts_.regularize, &info);
   std::string canonical = sql::PrintStatement(*regular);
-  distinct_no_const_.insert(canonical);
   if (info.conjunctive) distinct_conjunctive_.insert(canonical);
   if (info.rewritable) distinct_rewritable_.insert(canonical);
+  distinct_no_const_.insert(std::move(canonical));
 
   FeatureVec vec =
       ExtractFeatures(*regular, opts_.extract, log_.mutable_vocabulary());
@@ -44,8 +51,9 @@ bool LogLoader::AddSql(std::string_view raw_sql, std::uint64_t count) {
     sql::StatementPtr with_const =
         sql::Regularize(*parsed.statement, keep_consts, &unused);
     distinct_with_const_.insert(sql::PrintStatement(*with_const));
-    for (const Feature& f : ListFeatures(*with_const, opts_.extract)) {
-      with_const_vocab_.Intern(f);
+    for (Feature& f : ListFeatures(*with_const, opts_.extract)) {
+      distinct_features_with_const_[static_cast<std::size_t>(f.clause)]
+          .insert(std::move(f.text));
     }
   }
   return true;
@@ -70,8 +78,13 @@ DatasetSummary LogLoader::Summary(std::string name) const {
   s.num_distinct_conjunctive = distinct_conjunctive_.size();
   s.num_distinct_rewritable = distinct_rewritable_.size();
   s.max_multiplicity = log_.MaxMultiplicity();
-  s.num_features = opts_.track_with_constant_stats ? with_const_vocab_.size()
-                                                   : log_.NumFeatures();
+  if (opts_.track_with_constant_stats) {
+    for (const auto& texts : distinct_features_with_const_) {
+      s.num_features += texts.size();
+    }
+  } else {
+    s.num_features = log_.NumFeatures();
+  }
   s.num_features_no_const = log_.NumFeatures();
   s.avg_features_per_query = log_.AvgFeaturesPerQuery();
   return s;

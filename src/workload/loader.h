@@ -9,10 +9,11 @@
 #ifndef LOGR_WORKLOAD_LOADER_H_
 #define LOGR_WORKLOAD_LOADER_H_
 
+#include <array>
 #include <cstdint>
-#include <set>
 #include <string>
 #include <string_view>
+#include <unordered_set>
 
 #include "sql/normalizer.h"
 #include "workload/extractor.h"
@@ -44,8 +45,10 @@ class LogLoader {
                                         // the *primary* (w/o const) log
     ExtractOptions extract;
     /// Also maintain the with-constants statistics (distinct queries and
-    /// features including literal values). Costs a second regularization
-    /// pass per query; disable for pure compression workloads.
+    /// features including literal values). Costs a copy of the parse tree
+    /// plus a second regularize, print and feature walk per SELECT, about
+    /// half of AddSql's time on the bank log; disable for pure
+    /// compression workloads.
     bool track_with_constant_stats = true;
   };
 
@@ -77,11 +80,14 @@ class LogLoader {
  private:
   Options opts_;
   QueryLog log_;
-  Vocabulary with_const_vocab_;
-  std::set<std::string> distinct_with_const_;
-  std::set<std::string> distinct_no_const_;
-  std::set<std::string> distinct_conjunctive_;
-  std::set<std::string> distinct_rewritable_;
+  // Canonical statements and feature texts seen so far; only their
+  // counts are reported.
+  std::array<std::unordered_set<std::string>, kNumFeatureClauses>
+      distinct_features_with_const_;
+  std::unordered_set<std::string> distinct_with_const_;
+  std::unordered_set<std::string> distinct_no_const_;
+  std::unordered_set<std::string> distinct_conjunctive_;
+  std::unordered_set<std::string> distinct_rewritable_;
   std::uint64_t num_queries_ = 0;
   std::uint64_t num_non_select_ = 0;
   std::uint64_t num_parse_errors_ = 0;

@@ -1,9 +1,14 @@
+#include <string>
+
 #include "gtest/gtest.h"
 #include "sql/parser.h"
 #include "sql/printer.h"
+#include "workload/loader.h"
 
 namespace logr::sql {
 namespace {
+
+using logr::LogLoader;
 
 StatementPtr ParseOk(std::string_view s) {
   ParseResult r = Parse(s);
@@ -180,6 +185,99 @@ TEST(ParserTest, MySqlLimitCommaForm) {
   ASSERT_NE(s->selects[0]->offset, nullptr);
   EXPECT_EQ(s->selects[0]->offset->literal_text, "20");
   EXPECT_EQ(s->selects[0]->limit->literal_text, "10");
+}
+
+// --- Depth bound (kMaxParseDepth) -----------------------------------------
+
+std::string NestedParens(int levels) {
+  return "SELECT a FROM t WHERE " + std::string(levels, '(') + "x = 1" +
+         std::string(levels, ')');
+}
+
+std::string AndChain(int atoms) {
+  std::string sql = "SELECT a FROM t WHERE c0 = 0";
+  for (int i = 1; i < atoms; ++i) {
+    sql += " AND c" + std::to_string(i) + " = " + std::to_string(i);
+  }
+  return sql;
+}
+
+void ExpectTooDeep(const std::string& sql) {
+  ParseResult r = Parse(sql);
+  EXPECT_EQ(r.kind, StatementKind::kParseError);
+  EXPECT_NE(r.error.find("nests deeper than"), std::string::npos) << r.error;
+}
+
+// Each input also goes through the whole loader funnel: regularize,
+// print and extract recurse once per tree level as well.
+void ExpectLoadsAsSelect(const std::string& sql) {
+  LogLoader loader;
+  EXPECT_TRUE(loader.AddSql(sql));
+  EXPECT_EQ(loader.Summary("t").num_queries, 1u);
+}
+
+TEST(ParserDepthTest, DeeplyNestedParenthesesAreACountedParseError) {
+  // 20,000 levels overflowed the stack before the bound existed.
+  ExpectTooDeep(NestedParens(20000));
+  ExpectTooDeep(NestedParens(kMaxParseDepth + 1));
+  LogLoader loader;
+  EXPECT_FALSE(loader.AddSql(NestedParens(20000), 3));
+  EXPECT_EQ(loader.Summary("t").num_parse_errors, 3u);
+}
+
+TEST(ParserDepthTest, LongOperatorChainIsACountedParseError) {
+  // 50,000 flat AND atoms (~730 KB) parse left-deep into a tree 50,000
+  // levels tall, which every later pass walked recursively.
+  ExpectTooDeep(AndChain(50000));
+  ExpectTooDeep(AndChain(kMaxParseDepth + 1));
+  LogLoader loader;
+  EXPECT_FALSE(loader.AddSql(AndChain(50000)));
+  EXPECT_EQ(loader.Summary("t").num_parse_errors, 1u);
+}
+
+TEST(ParserDepthTest, JustUnderTheBoundParsesAndLoads) {
+  const int levels = kMaxParseDepth - 10;
+  ASSERT_TRUE(Parse(NestedParens(levels)).ok());
+  ASSERT_TRUE(Parse(AndChain(levels)).ok());
+  ExpectLoadsAsSelect(NestedParens(levels));
+  ExpectLoadsAsSelect(AndChain(levels));
+  // A prefix-operator chain nests without brackets.
+  std::string nots = "SELECT a FROM t WHERE ";
+  for (int i = 0; i < levels; ++i) nots += "NOT ";
+  ExpectLoadsAsSelect(nots + "x = 1");
+}
+
+TEST(ParserDepthTest, ChainsInsideNestingCountTogether) {
+  // Each level is a bracketed operand followed by a chain, so no single
+  // chain or nesting is long, but the tree is their sum: 40 levels of
+  // 50 operators is ~2,000 levels tall.
+  std::string where = "x = 0";
+  for (int level = 0; level < 40; ++level) {
+    std::string next = "(" + where + ")";
+    for (int i = 0; i < 50; ++i) next += " OR y = " + std::to_string(i);
+    where = next;
+  }
+  ExpectTooDeep("SELECT a FROM t WHERE " + where);
+  std::string joins = "SELECT a FROM t0";
+  for (int i = 1; i <= kMaxParseDepth + 1; ++i) {
+    joins += " JOIN t" + std::to_string(i) + " ON t" + std::to_string(i) +
+             ".id = t0.id";
+  }
+  ExpectTooDeep(joins);
+}
+
+TEST(ParserDepthTest, LongInListStaysShallowThroughRegularization) {
+  // An IN list is one node, but NOT pushdown expands it to a chain of
+  // (in)equalities; with constants kept the 50,000 items stay distinct
+  // (30,000 already overflowed the stack when that chain was left-deep).
+  for (const char* op : {" IN (", " NOT IN ("}) {
+    std::string sql = std::string("SELECT a FROM t WHERE x") + op;
+    for (int i = 0; i < 50000; ++i) {
+      if (i > 0) sql += ", ";
+      sql += std::to_string(i);
+    }
+    ExpectLoadsAsSelect(sql + ")");
+  }
 }
 
 // Round-trip property: Print(Parse(x)) reparses to the same canonical
