@@ -12,8 +12,7 @@
 //       only), or any encoder registered in EncoderRegistry.
 //       --shards S > 1 compresses shard-wise in parallel and merges the
 //       per-shard mixtures (bit-deterministic for any thread count;
-//       mergeable encoders only). --refine N is a deprecated alias for
-//       --encoder refined --refine-patterns N.
+//       mergeable encoders only).
 //       LOG may also be a binary .logrl file written by `convert` (or
 //       LogLoader::WriteBinary): it is detected by magic, mmap-loaded,
 //       and compressed without re-parsing any SQL.
@@ -47,11 +46,7 @@
 //       nearest-centroid-chain agglomeration when the pooled components
 //       exceed K ("compress each day, merge the week"). Only mergeable
 //       summaries (naive, refined) pool; the output is always a naive
-//       summary. --method is a deprecated no-op (merge never
-//       re-clusters with a backend); --encoder is removed — the flag
-//       never affected the output, so asking for anything but "naive"
-//       (tolerated with a warning) is now a loud error instead of a
-//       silent lie.
+//       summary.
 //   logr_cli info SUMMARY
 //       Prints the summary's encoder, clusters, weights and verbosities.
 //   logr_cli estimate SUMMARY TERM [TERM ...]
@@ -91,7 +86,6 @@
 #include "core/encoder.h"
 #include "core/logr_compressor.h"
 #include "core/serialization.h"
-#include "core/sharded.h"
 #include "core/visualize.h"
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
@@ -191,6 +185,51 @@ const Encoder* ResolveEncoderArg(const std::string& name) {
   return encoder;
 }
 
+/// Loads LOG (text SQL or binary .logrl; stdin when empty) into
+/// `log`/`binary`, binding `view` to whichever backs it, and reports
+/// what it read: the parse funnel for text, the stored funnel for a
+/// binary log (mmap-loaded, no SQL re-parse). Shared by compress and
+/// split. Returns 0 on success, the process exit code otherwise.
+int LoadAnyLog(const std::string& in_path, QueryLog* log,
+               MmapQueryLog* binary, LogView* view) {
+  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
+    std::string error;
+    if (!MmapQueryLog::Open(in_path, binary, &error)) {
+      std::fprintf(stderr, "%s\n", error.c_str());
+      return 1;
+    }
+    const DatasetSummary& stats = binary->summary();
+    std::printf("loaded binary log %s (%s): %llu SELECT queries, %zu "
+                "distinct templates, %zu features\n",
+                in_path.c_str(), binary->mapped() ? "mmap" : "eager",
+                static_cast<unsigned long long>(binary->TotalQueries()),
+                binary->NumDistinct(), binary->NumFeatures());
+    std::printf("stored funnel: %llu SELECT queries, %llu non-SELECT, "
+                "%llu unparseable\n",
+                static_cast<unsigned long long>(stats.num_queries),
+                static_cast<unsigned long long>(stats.num_non_select),
+                static_cast<unsigned long long>(stats.num_parse_errors));
+    *view = LogView(*binary);
+    return 0;
+  }
+  std::ifstream file;
+  std::istream* in = &std::cin;
+  if (!in_path.empty()) {
+    file.open(in_path);
+    if (!file) {
+      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
+      return 1;
+    }
+    in = &file;
+  }
+  LogLoader loader;
+  std::uint64_t lines = ReadTextLog(*in, &loader);
+  PrintFunnel(lines, loader.Summary("cli"));
+  *log = loader.TakeLog();
+  *view = LogView(*log);
+  return 0;
+}
+
 int RunCompress(int argc, char** argv) {
   std::size_t clusters = 8;
   std::size_t refine = 0;
@@ -213,20 +252,13 @@ int RunCompress(int argc, char** argv) {
       method = argv[++i];
     } else if (arg == "--encoder" && i + 1 < argc) {
       encoder_name = argv[++i];
-    } else if ((arg == "--refine-patterns" || arg == "--refine") &&
-               i + 1 < argc) {
+    } else if (arg == "--refine-patterns" && i + 1 < argc) {
       long long parsed;
       if (!ParseCount(argv[++i], 0, &parsed)) {
-        std::fprintf(stderr, "%s must be an integer >= 0\n", arg.c_str());
+        std::fprintf(stderr, "--refine-patterns must be an integer >= 0\n");
         return 2;
       }
       refine = static_cast<std::size_t>(parsed);
-      if (arg == "--refine") {
-        std::fprintf(stderr,
-                     "warning: --refine N is deprecated; use "
-                     "--encoder refined --refine-patterns N\n");
-        if (encoder_name.empty() && refine > 0) encoder_name = "refined";
-      }
     } else if (arg == "--shards" && i + 1 < argc) {
       long long parsed;
       if (!ParseCount(argv[++i], 1, &parsed)) {
@@ -268,43 +300,7 @@ int RunCompress(int argc, char** argv) {
   QueryLog log;
   MmapQueryLog binary;
   LogView view;
-  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
-    // Binary fast path: mmap the columns, skip the SQL parse stage, and
-    // compress straight off the mapping — no Materialize() copy.
-    std::string bin_error;
-    if (!MmapQueryLog::Open(in_path, &binary, &bin_error)) {
-      std::fprintf(stderr, "%s\n", bin_error.c_str());
-      return 1;
-    }
-    const DatasetSummary& stats = binary.summary();
-    std::printf("loaded binary log %s (%s): %llu SELECT queries, %zu "
-                "distinct templates, %zu features\n",
-                in_path.c_str(), binary.mapped() ? "mmap" : "eager",
-                static_cast<unsigned long long>(binary.TotalQueries()),
-                binary.NumDistinct(), binary.NumFeatures());
-    std::printf("stored funnel: %llu SELECT queries, %llu non-SELECT, "
-                "%llu unparseable\n",
-                static_cast<unsigned long long>(stats.num_queries),
-                static_cast<unsigned long long>(stats.num_non_select),
-                static_cast<unsigned long long>(stats.num_parse_errors));
-    view = LogView(binary);
-  } else {
-    std::ifstream file;
-    std::istream* in = &std::cin;
-    if (!in_path.empty()) {
-      file.open(in_path);
-      if (!file) {
-        std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-        return 1;
-      }
-      in = &file;
-    }
-    LogLoader loader;
-    std::uint64_t lines = ReadTextLog(*in, &loader);
-    PrintFunnel(lines, loader.Summary("cli"));
-    log = loader.TakeLog();
-    view = LogView(log);
-  }
+  if (int rc = LoadAnyLog(in_path, &log, &binary, &view)) return rc;
   if (view.TotalQueries() == 0) {
     std::fprintf(stderr, "no usable queries\n");
     return 1;
@@ -419,31 +415,6 @@ int RunMerge(int argc, char** argv) {
         return 2;
       }
       clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--method" && i + 1 < argc) {
-      // Deprecated: reconcile is nearest-centroid-chain agglomeration
-      // now and no longer consults a clustering backend.
-      std::fprintf(stderr,
-                   "warning: merge --method is deprecated and ignored "
-                   "(reconcile no longer uses a clustering backend)\n");
-      ++i;
-    } else if (arg == "--encoder" && i + 1 < argc) {
-      // Deprecated: the flag never had an effect (merge always emits a
-      // naive summary — patterns are log-dependent and cannot be
-      // re-ranked offline). Reject non-naive requests loudly instead of
-      // silently writing something else than asked.
-      const std::string requested = argv[++i];
-      if (requested != "naive") {
-        std::fprintf(stderr,
-                     "merge --encoder is removed: merged summaries are "
-                     "always naive (re-ranking '%s' patterns needs the "
-                     "original logs; re-compress with --encoder "
-                     "instead)\n",
-                     requested.c_str());
-        return 2;
-      }
-      std::fprintf(stderr,
-                   "warning: merge --encoder is deprecated; merged "
-                   "summaries are always naive\n");
     } else if (arg == "--out" && i + 1 < argc) {
       out_path = argv[++i];
     } else if (!arg.empty() && arg[0] != '-') {
@@ -479,38 +450,6 @@ int RunMerge(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
-}
-
-/// Loads LOG (text SQL or binary .logrl) into `log`/`binary`, binding
-/// `view` to whichever backs it. Shared by split. Returns 0 on
-/// success, the process exit code otherwise.
-int LoadAnyLog(const std::string& in_path, QueryLog* log,
-               MmapQueryLog* binary, LogView* view) {
-  if (!in_path.empty() && IsBinaryLogFile(in_path)) {
-    std::string error;
-    if (!MmapQueryLog::Open(in_path, binary, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    *view = LogView(*binary);
-    return 0;
-  }
-  std::ifstream file;
-  std::istream* in = &std::cin;
-  if (!in_path.empty()) {
-    file.open(in_path);
-    if (!file) {
-      std::fprintf(stderr, "cannot open %s\n", in_path.c_str());
-      return 1;
-    }
-    in = &file;
-  }
-  LogLoader loader;
-  std::uint64_t lines = ReadTextLog(*in, &loader);
-  PrintFunnel(lines, loader.Summary("cli"));
-  *log = loader.TakeLog();
-  *view = LogView(*log);
   return 0;
 }
 
@@ -554,41 +493,21 @@ int RunSplit(int argc, char** argv) {
     return 1;
   }
 
-  std::string dir_error;
-  if (!EnsureDirectory(out_dir, &dir_error)) {
-    std::fprintf(stderr, "%s\n", dir_error.c_str());
+  std::vector<ShardFile> written;
+  std::string error;
+  if (!WriteShardFiles(view, shards, shard_policy, out_dir, name, &written,
+                       &error)) {
+    std::fprintf(stderr, "%s\n", error.c_str());
     return 1;
   }
-  const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(view, shards, shard_policy);
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    QueryLog sublog = view.MaterializeSubset(parts[s]);
-    DatasetSummary stats;
-    char suffix[32];
-    std::snprintf(suffix, sizeof(suffix), "-s%03zu", s);
-    stats.name = name + suffix;
-    stats.num_queries = sublog.TotalQueries();
-    stats.num_distinct = sublog.NumDistinct();
-    stats.num_distinct_no_const = sublog.NumDistinct();
-    stats.max_multiplicity = sublog.MaxMultiplicity();
-    stats.num_features = sublog.NumFeatures();
-    stats.num_features_no_const = sublog.NumFeatures();
-    stats.avg_features_per_query = sublog.AvgFeaturesPerQuery();
-    char file_name[64];
-    std::snprintf(file_name, sizeof(file_name), "/shard-%03zu.logrl", s);
-    const std::string path = out_dir + file_name;
-    std::string error;
-    if (!BinaryLogWriter::WriteFile(path, sublog, stats, &error)) {
-      std::fprintf(stderr, "%s\n", error.c_str());
-      return 1;
-    }
-    std::printf("wrote %s (%zu distinct, %llu queries)\n", path.c_str(),
-                sublog.NumDistinct(),
-                static_cast<unsigned long long>(sublog.TotalQueries()));
+  for (const ShardFile& file : written) {
+    std::printf("wrote %s (%llu distinct, %llu queries)\n", file.path.c_str(),
+                static_cast<unsigned long long>(file.stats.num_distinct),
+                static_cast<unsigned long long>(file.stats.num_queries));
   }
   std::printf("split %zu distinct templates into %zu shards under %s — "
               "compress them with `logr_cli distribute %s`\n",
-              view.NumDistinct(), parts.size(), out_dir.c_str(),
+              view.NumDistinct(), written.size(), out_dir.c_str(),
               out_dir.c_str());
   return 0;
 }

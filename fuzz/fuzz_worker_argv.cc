@@ -19,10 +19,13 @@ namespace {
 
 bool SameOptions(const logr::DistributedWorkerOptions& a,
                  const logr::DistributedWorkerOptions& b) {
+  const logr::LogROptions& x = a.compression;
+  const logr::LogROptions& y = b.compression;
   return a.shard_path == b.shard_path && a.out_path == b.out_path &&
-         a.num_clusters == b.num_clusters && a.method == b.method &&
-         a.seed == b.seed && a.n_init == b.n_init &&
-         a.shard_index == b.shard_index && a.attempt == b.attempt;
+         x.num_clusters == y.num_clusters && x.num_shards == y.num_shards &&
+         logr::BackendName(x) == logr::BackendName(y) && x.seed == y.seed &&
+         x.n_init == y.n_init && a.shard_index == b.shard_index &&
+         a.attempt == b.attempt;
 }
 
 }  // namespace

@@ -11,7 +11,6 @@
 #include <utility>
 
 #include "cluster/clusterer.h"
-#include "core/logr_compressor.h"
 #include "core/sharded.h"
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -71,6 +70,36 @@ bool ParseUnsigned(const std::string& text, std::uint64_t* out) {
 
 }  // namespace
 
+bool WriteShardFiles(const LogView& log, std::size_t num_shards,
+                     ShardPolicy policy, const std::string& dir,
+                     const std::string& name, std::vector<ShardFile>* written,
+                     std::string* error) {
+  written->clear();
+  if (!EnsureDirectory(dir, error)) return false;
+  const std::vector<std::vector<std::size_t>> parts =
+      ShardedCompressor::PartitionIndices(log, num_shards, policy);
+  for (std::size_t s = 0; s < parts.size(); ++s) {
+    const QueryLog sublog = log.MaterializeSubset(parts[s]);
+    char suffix[32];
+    std::snprintf(suffix, sizeof(suffix), "%03zu", s);
+    ShardFile file;
+    file.path = dir + "/shard-" + suffix + ".logrl";
+    file.stats.name = name + "-s" + suffix;
+    file.stats.num_queries = sublog.TotalQueries();
+    file.stats.num_distinct = sublog.NumDistinct();
+    file.stats.num_distinct_no_const = sublog.NumDistinct();
+    file.stats.max_multiplicity = sublog.MaxMultiplicity();
+    file.stats.num_features = sublog.NumFeatures();
+    file.stats.num_features_no_const = sublog.NumFeatures();
+    file.stats.avg_features_per_query = sublog.AvgFeaturesPerQuery();
+    if (!BinaryLogWriter::WriteFile(file.path, sublog, file.stats, error)) {
+      return false;
+    }
+    written->push_back(std::move(file));
+  }
+  return true;
+}
+
 bool EnsureDirectory(const std::string& dir, std::string* error) {
 #if !defined(_WIN32)
   std::string partial;
@@ -92,13 +121,15 @@ bool EnsureDirectory(const std::string& dir, std::string* error) {
 }
 
 std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
+  const LogROptions& c = opts.compression;
   return {
       "--shard",       opts.shard_path,
       "--out",         opts.out_path,
-      "--clusters",    std::to_string(opts.num_clusters),
-      "--method",      opts.method,
-      "--seed",        std::to_string(opts.seed),
-      "--n-init",      std::to_string(opts.n_init),
+      "--clusters",    std::to_string(c.num_clusters),
+      "--shards",      std::to_string(c.num_shards),
+      "--method",      BackendName(c),
+      "--seed",        std::to_string(c.seed),
+      "--n-init",      std::to_string(c.n_init),
       "--shard-index", std::to_string(opts.shard_index),
       "--attempt",     std::to_string(opts.attempt),
   };
@@ -107,6 +138,7 @@ std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
 bool ParseWorkerArgv(const std::vector<std::string>& args,
                      DistributedWorkerOptions* opts, std::string* error) {
   *opts = DistributedWorkerOptions();
+  LogROptions& c = opts->compression;
   for (std::size_t i = 0; i < args.size(); ++i) {
     const std::string& arg = args[i];
     if (i + 1 >= args.size()) {
@@ -118,16 +150,19 @@ bool ParseWorkerArgv(const std::vector<std::string>& args,
       opts->shard_path = value;
     } else if (arg == "--out") {
       opts->out_path = value;
-    } else if (arg == "--method") {
-      opts->method = value;
+    } else if (arg == "--method" && !value.empty()) {
+      c.backend = ParseClusteringMethod(value, &c.method) ? "" : value;
     } else if (arg == "--clusters" && ParseUnsigned(value, &parsed) &&
                parsed >= 1) {
-      opts->num_clusters = static_cast<std::size_t>(parsed);
+      c.num_clusters = static_cast<std::size_t>(parsed);
+    } else if (arg == "--shards" && ParseUnsigned(value, &parsed) &&
+               parsed >= 1) {
+      c.num_shards = static_cast<std::size_t>(parsed);
     } else if (arg == "--seed" && ParseUnsigned(value, &parsed)) {
-      opts->seed = parsed;
+      c.seed = parsed;
     } else if (arg == "--n-init" && ParseUnsigned(value, &parsed) &&
                parsed >= 1) {
-      opts->n_init = static_cast<int>(parsed);
+      c.n_init = static_cast<int>(parsed);
     } else if (arg == "--shard-index" && ParseUnsigned(value, &parsed)) {
       opts->shard_index = static_cast<std::size_t>(parsed);
     } else if (arg == "--attempt" && ParseUnsigned(value, &parsed)) {
@@ -151,29 +186,16 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
     return Fail(error, "empty shard " + opts.shard_path);
   }
 
-  // The per-shard fit mirrors ShardedCompressor's shard pipelines
-  // exactly: naive encoder, serial pool, no refinement — so the
-  // gathered merge is bit-identical to the in-process sharded run.
-  // The serial pool is also the fork-safety requirement: a fork-mode
-  // child must never wait on the parent's pool threads, which do not
-  // exist after fork.
-  ThreadPool serial(0);
-  LogROptions copts;
-  copts.num_clusters = opts.num_clusters;
-  copts.seed = opts.seed;
-  copts.n_init = opts.n_init;
-  copts.encoder = "naive";
-  copts.refine_patterns = 0;
-  copts.pool = &serial;
-  if (!ParseClusteringMethod(opts.method, &copts.method)) {
-    if (ClustererRegistry::Instance().Find(opts.method) == nullptr) {
-      return Fail(error, "unknown clustering backend " + opts.method);
-    }
-    copts.backend = opts.method;
+  const std::string backend = BackendName(opts.compression);
+  if (ClustererRegistry::Instance().Find(backend) == nullptr) {
+    return Fail(error, "unknown clustering backend " + backend);
   }
 
+  // The same fit the thread executor runs, so the gathered merge is
+  // bit-identical to the in-process sharded run.
   LogView view(shard);
-  const LogRSummary summary = Compress(view, copts);
+  const LogRSummary summary =
+      ShardedCompressor::FitShard(view, opts.compression);
 
   // WriteSummaryFile spools atomically (pid-suffixed temp + rename), so
   // a worker killed at any instant leaves either nothing or a temp file
@@ -185,14 +207,6 @@ bool RunDistributedWorker(const DistributedWorkerOptions& opts,
 DistributedCompressor::DistributedCompressor(
     std::vector<std::string> shard_paths, DistributedOptions opts)
     : shard_paths_(std::move(shard_paths)), opts_(std::move(opts)) {}
-
-std::size_t DistributedCompressor::ClustersPerShard(std::size_t num_clusters,
-                                                    std::size_t num_shards) {
-  LogROptions effective;
-  effective.num_clusters = num_clusters;
-  effective.num_shards = num_shards;
-  return ShardedCompressor::ClustersPerShard(effective);
-}
 
 std::string DistributedCompressor::SummaryPathFor(
     const std::string& spool_dir, const std::string& shard_path) {
@@ -230,12 +244,6 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
     }
   }
 
-  const std::size_t shard_k =
-      ClustersPerShard(opts_.compression.num_clusters, n);
-  const std::string method = opts_.compression.backend.empty()
-                                 ? ClusteringMethodName(opts_.compression.method)
-                                 : opts_.compression.backend;
-
   enum class State { kPending, kRunning, kDone };
   std::vector<State> state(n, State::kPending);
   std::vector<PersistedSummary> parts(n);
@@ -264,10 +272,8 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
     DistributedWorkerOptions w;
     w.shard_path = shard_paths_[s];
     w.out_path = out->shards[s].summary_path;
-    w.num_clusters = shard_k;
-    w.method = method;
-    w.seed = opts_.compression.seed;
-    w.n_init = opts_.compression.n_init;
+    w.compression = opts_.compression;
+    w.compression.num_shards = n;
     w.shard_index = s;
     w.attempt = out->shards[s].attempts;
     return w;
@@ -391,9 +397,8 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   // Gather: every shard is spooled; merge + reconcile down to K. Part
   // order is shard order, but MergeSummaries orders components
   // canonically, so any order gives the same bits.
-  LogROptions merge_opts = opts_.compression;
-  if (!MergeSummaries(parts, opts_.compression.num_clusters, merge_opts,
-                      &out->summary, error)) {
+  if (!MergeSummaries(parts, opts_.compression.num_clusters,
+                      opts_.compression, &out->summary, error)) {
     return false;
   }
   out->total_seconds = timer.ElapsedSeconds();

@@ -9,16 +9,18 @@
 //
 //   coordinator                    workers (≤ num_workers at once)
 //   ───────────                    ────────────────────────────────
-//   scatter: spawn per shard  ──►  mmap-compress the shard zero-copy
-//                                  (LogView path, naive encoder, the
-//                                  sharded ClustersPerShard K), write
+//   scatter: spawn per shard  ──►  mmap-open the shard and run
+//                                  ShardedCompressor::FitShard on it
+//                                  zero-copy, write
 //                                  spool/<shard>.summary atomically
 //   watch: exit status + timeout
 //   retry: respawn a failed/hung shard (bounded), in-process as the
 //          last resort
-//   gather: read every spooled summary, MergeSummaries + Reconcile
-//           down to K — bit-identical to the in-process sharded
-//           compression of the same shard split
+//   gather: read every spooled summary, MergeSummaries (the codebook
+//           union, then ShardedCompressor::Gather down to K) —
+//           bit-identical to the in-process sharded compression of the
+//           same shard split, since both executors share the fit and
+//           the gather
 //
 // Restartability falls out of the spool protocol: workers write
 // summaries via tmp-file + rename (a killed worker can never leave a
@@ -33,9 +35,9 @@
 // fork mode (empty worker_command; the child runs RunDistributedWorker
 // directly, which tests and benches use to avoid depending on an
 // installed binary). Forked children never touch the parent's thread
-// pools (pthreads do not survive fork); every worker compresses with a
-// serial pool, exactly like ShardedCompressor's per-shard pipelines, so
-// the distributed result is bit-deterministic for any worker count.
+// pools (pthreads do not survive fork): FitShard always runs on a
+// serial pool, so the distributed result is bit-deterministic for any
+// worker count.
 #ifndef LOGR_CORE_DISTRIBUTED_H_
 #define LOGR_CORE_DISTRIBUTED_H_
 
@@ -45,6 +47,7 @@
 
 #include "core/pipeline.h"
 #include "core/serialization.h"
+#include "workload/loader.h"
 
 namespace logr {
 
@@ -59,10 +62,11 @@ struct DistributedOptions {
   /// Maximum concurrently running worker processes.
   std::size_t num_workers = 4;
   /// Compression parameters: num_clusters is the final K after the
-  /// gather-side reconcile; method/backend/seed/n_init are forwarded to
-  /// every worker so per-shard fits match ShardedCompressor's. The
-  /// encoder is ignored — shards merge through the naive family, and
-  /// the merged output is always a naive summary (like `merge`).
+  /// gather-side reconcile; method/backend, seed and n_init reach every
+  /// shard fit (ShardedCompressor::FitShard), and num_shards is set to
+  /// the number of shard files. Everything else is ignored — shards
+  /// merge through the naive family, and the merged output is always a
+  /// naive summary (like `merge`).
   LogROptions compression;
   /// Directory the workers spool summaries into (created if absent).
   /// Re-running a coordinator over a warm spool reuses every valid
@@ -105,19 +109,19 @@ struct DistributedResult {
   double total_seconds = 0.0;
 };
 
-/// What one worker does: mmap-open `shard_path` (.logrl), compress it
-/// zero-copy with the naive encoder at `num_clusters`, and atomically
-/// write the v2 summary to `out_path`. The coordinator builds these
-/// from DistributedOptions; the CLI's hidden `worker` subcommand parses
-/// them back off argv (see WorkerArgv / ParseWorkerArgv).
+/// What one worker does: mmap-open `shard_path` (.logrl), run
+/// ShardedCompressor::FitShard on it zero-copy, and atomically write
+/// the v2 summary to `out_path`. The coordinator builds these from
+/// DistributedOptions; the CLI's hidden `worker` subcommand parses them
+/// back off argv (see WorkerArgv / ParseWorkerArgv).
 struct DistributedWorkerOptions {
   std::string shard_path;
   std::string out_path;
-  std::size_t num_clusters = 1;
-  /// Clustering backend name (ClusteringMethodName or a registry name).
-  std::string method = "KmeansEuclidean";
-  std::uint64_t seed = 17;
-  int n_init = 4;
+  /// The job's options as FitShard reads them: num_clusters (the job's
+  /// final K), num_shards (the job's shard count — with num_clusters it
+  /// fixes the per-shard K), method/backend, seed and n_init. The argv
+  /// wire format carries exactly these fields.
+  LogROptions compression;
   /// Position of the shard in the coordinator's scatter order — only
   /// consulted by the kDistributedCrashEnv fault injection.
   std::size_t shard_index = 0;
@@ -131,15 +135,17 @@ struct DistributedWorkerOptions {
 std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts);
 
 /// Parses what WorkerArgv produced. Returns false (and fills `error`)
-/// on unknown flags or missing required ones (--shard, --out).
+/// on unknown flags, malformed values, or missing required ones
+/// (--shard, --out). A --method that is not a ClusteringMethodName is
+/// taken as a ClustererRegistry backend name; RunDistributedWorker
+/// rejects unregistered ones.
 bool ParseWorkerArgv(const std::vector<std::string>& args,
                      DistributedWorkerOptions* opts, std::string* error);
 
 /// Worker entry point, shared by the CLI `worker` subcommand, fork-mode
-/// children, and the coordinator's in-process fallback: compress the
-/// shard and spool the summary. Runs with a serial pool uncondition-
-/// ally (fork-safe, and bit-identical to ShardedCompressor's per-shard
-/// pipelines). Returns false (and fills `error`) on any I/O or
+/// children, and the coordinator's in-process fallback: fit the shard
+/// (ShardedCompressor::FitShard — serial pool, so fork-safe) and spool
+/// the summary. Returns false (and fills `error`) on any I/O or
 /// validation failure.
 bool RunDistributedWorker(const DistributedWorkerOptions& opts,
                           std::string* error);
@@ -157,13 +163,6 @@ class DistributedCompressor {
   /// reconciled summary and `out->shards` the per-shard provenance.
   bool Run(DistributedResult* out, std::string* error);
 
-  /// The K each worker compresses its shard to — identical to
-  /// ShardedCompressor::ClustersPerShard over `num_shards` so the
-  /// gathered merge reproduces the in-process sharded result bit for
-  /// bit.
-  static std::size_t ClustersPerShard(std::size_t num_clusters,
-                                      std::size_t num_shards);
-
   /// Spool path for a shard: <spool_dir>/<shard basename>.summary
   /// (".logrl" stripped). Stable across runs — the resume contract.
   static std::string SummaryPathFor(const std::string& spool_dir,
@@ -178,6 +177,21 @@ class DistributedCompressor {
 bool CompressDistributed(const std::vector<std::string>& shard_paths,
                          const DistributedOptions& opts,
                          DistributedResult* out, std::string* error);
+
+/// The plan on disk: partitions `log` with
+/// ShardedCompressor::PartitionIndices and writes each shard as the
+/// binary log `<dir>/shard-NNN.logrl` (dataset name `<name>-sNNN`),
+/// creating `dir` if needed — the input DistributedCompressor scatters.
+/// `written` receives each file's path and Table-1 stats in shard
+/// order. Returns false (and fills `error`) on a filesystem failure.
+struct ShardFile {
+  std::string path;
+  DatasetSummary stats;
+};
+bool WriteShardFiles(const LogView& log, std::size_t num_shards,
+                     ShardPolicy policy, const std::string& dir,
+                     const std::string& name, std::vector<ShardFile>* written,
+                     std::string* error);
 
 /// mkdir -p for spool and shard directories: creates `dir` and any
 /// missing parents, tolerating ones that already exist. Returns false

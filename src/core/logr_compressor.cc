@@ -6,7 +6,7 @@
 namespace logr {
 
 LogRSummary Compress(const LogView& log, const LogROptions& opts) {
-  if (opts.num_shards > 1) return CompressSharded(log, opts);
+  if (opts.num_shards > 1) return ShardedCompressor(log, opts).Run();
   return CompressionPipeline(log, opts).RunFixedK();
 }
 

@@ -58,11 +58,12 @@ bool ParseShardPolicy(const std::string& name, ShardPolicy* out) {
 }
 
 std::string EffectiveEncoderName(const LogROptions& opts) {
-  if (!opts.encoder.empty()) return opts.encoder;
-  // Legacy knob: refine_patterns predates the registry and always meant
-  // "naive plus corr_rank refinement".
-  if (opts.refine_patterns > 0) return "refined";
-  return DefaultEncoderName();
+  return opts.encoder.empty() ? DefaultEncoderName() : opts.encoder;
+}
+
+std::string BackendName(const LogROptions& opts) {
+  return opts.backend.empty() ? ClusteringMethodName(opts.method)
+                              : opts.backend;
 }
 
 const WorkloadModel& LogRSummary::Model() const {
@@ -101,8 +102,7 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   ctx_.opts = opts;
   ctx_.rng = Pcg32(opts.seed);
   ctx_.pool = opts.pool ? opts.pool : ThreadPool::Shared();
-  const std::string& name =
-      opts.backend.empty() ? ClusteringMethodName(opts.method) : opts.backend;
+  const std::string name = BackendName(opts);
   ctx_.clusterer = ClustererRegistry::Instance().Find(name);
   LOGR_CHECK_MSG(ctx_.clusterer != nullptr, name.c_str());
   const std::string encoder_name = EffectiveEncoderName(opts);
@@ -113,11 +113,9 @@ CompressionPipeline::CompressionPipeline(const LogView& log,
   for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
     ctx_.vecs.push_back(log.VectorAt(i));
   }
-  if (opts.multiplicity_weighted) {
-    ctx_.weights.reserve(log.NumDistinct());
-    for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
-      ctx_.weights.push_back(static_cast<double>(log.Multiplicity(i)));
-    }
+  ctx_.weights.reserve(log.NumDistinct());
+  for (std::size_t i = 0; i < log.NumDistinct(); ++i) {
+    ctx_.weights.push_back(static_cast<double>(log.Multiplicity(i)));
   }
   // The one pool per compression: packed straight from the view's id
   // spans (zero copies off an mmap'd log) and shared with every
@@ -303,9 +301,7 @@ LogRSummary CompressionPipeline::RunAdaptive(std::size_t num_clusters) {
       if (assignment[i] == worst) {
         members.push_back(i);
         vecs.push_back(log.VectorAt(i));
-        if (ctx_.opts.multiplicity_weighted) {
-          weights.push_back(static_cast<double>(log.Multiplicity(i)));
-        }
+        weights.push_back(static_cast<double>(log.Multiplicity(i)));
       }
     }
     ClusterRequest req = ctx_.Request(2);

@@ -69,20 +69,17 @@ struct LogROptions {
   std::uint64_t seed = 17;
   /// Random restarts for k-means style stages.
   int n_init = 4;
-  /// Weight distinct queries by multiplicity during clustering.
-  bool multiplicity_weighted = true;
   /// Worker pool for data-parallel stages; nullptr selects
   /// ThreadPool::Shared(). Never changes results, only wall-clock.
   ThreadPool* pool = nullptr;
   /// Encoder backend for the encode stage, resolved through
   /// EncoderRegistry ("naive", "refined", "pattern", or an
   /// application-registered name). Empty selects DefaultEncoderName()
-  /// (the LOGR_ENCODER environment variable, else "naive") — unless
-  /// refine_patterns > 0, which selects "refined" for backward
-  /// compatibility with the pre-registry refine stage.
+  /// (the LOGR_ENCODER environment variable, else "naive").
   std::string encoder;
   /// Per-component budget of extra corr_rank-ranked patterns for the
-  /// "refined" encoder (Sec. 6.4). 0 uses the encoder's default.
+  /// "refined" encoder (Sec. 6.4); other encoders ignore it. 0 uses the
+  /// encoder's default.
   std::size_t refine_patterns = 0;
   /// Per-component pattern count for the "pattern" encoder. 0 uses the
   /// encoder's default; larger requests are clamped to the encoder's
@@ -99,9 +96,12 @@ struct LogROptions {
 };
 
 /// The registry name the encode stage resolves for `opts`: the explicit
-/// opts.encoder, else "refined" when the legacy refine_patterns knob is
-/// set, else DefaultEncoderName().
+/// opts.encoder, else DefaultEncoderName().
 std::string EffectiveEncoderName(const LogROptions& opts);
+
+/// The ClustererRegistry name the cluster stage resolves for `opts`:
+/// opts.backend when set, else ClusteringMethodName(opts.method).
+std::string BackendName(const LogROptions& opts);
 
 struct LogRSummary {
   /// The compressed workload: every analytics consumer goes through
@@ -138,7 +138,7 @@ struct PipelineContext {
   const Clusterer* clusterer = nullptr;  // registry-resolved backend
   const Encoder* encoder = nullptr;      // registry-resolved backend
   std::vector<FeatureVec> vecs;     // the log's distinct vectors
-  std::vector<double> weights;      // multiplicity weights (may be empty)
+  std::vector<double> weights;      // multiplicity weights
   std::size_t num_features = 0;
   /// The one packed pool per compression, built in the constructor
   /// straight from the log view's id spans and shared (via Request)

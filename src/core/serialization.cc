@@ -11,6 +11,7 @@
 #include <sstream>
 
 #include "core/pattern_model.h"
+#include "core/sharded.h"
 #include "util/check.h"
 
 namespace logr {
@@ -573,15 +574,8 @@ bool MergeSummaries(const std::vector<PersistedSummary>& parts,
         NaiveMixtureEncoding::FromComponents(std::move(comps)));
   }
 
-  std::vector<const NaiveMixtureEncoding*> ptrs;
-  ptrs.reserve(remapped.size());
-  for (const NaiveMixtureEncoding& e : remapped) ptrs.push_back(&e);
-  NaiveMixtureEncoding merged = NaiveMixtureEncoding::Merge(ptrs);
-
-  if (max_components > 0 && merged.NumComponents() > max_components) {
-    merged = merged.Reconcile(max_components, opts.pool);
-  }
-  out->encoding = std::move(merged);
+  out->encoding =
+      ShardedCompressor::Gather(std::move(remapped), max_components, opts.pool);
   // Patterns are log-dependent and cannot be re-ranked offline, so the
   // merge result is always a plain naive summary.
   out->encoder = "naive";

@@ -108,13 +108,16 @@ bool ReadSummaryFile(const std::string& path, PersistedSummary* summary,
                      std::string* error);
 
 /// Merges loaded summaries (one per shard, day, or node) into one:
-/// unions the codebooks, remaps feature ids, pools the components
-/// (NaiveMixtureEncoding::Merge, exact for summaries of disjoint query
-/// populations), and — when `max_components` > 0 and the pool exceeds
-/// it — reconciles down with the clustering backend selected by `opts`
-/// (method/backend, seed, n_init). `max_components` == 0 keeps every
-/// pooled component. Returns false (and fills `error`) on an unknown
-/// backend, empty input, or a part whose encoder is not mergeable
+/// unions the codebooks, remaps feature ids, then pools and reconciles
+/// the components with ShardedCompressor::Gather — the gather of
+/// in-process sharding, so merging a sharded job's spooled parts
+/// reproduces it bit for bit. The pool (NaiveMixtureEncoding::Merge) is
+/// exact for summaries of disjoint query populations; when
+/// `max_components` > 0 and the pool exceeds it, nearest-component-
+/// chain agglomeration reconciles it down. Of `opts` only `pool` is
+/// read (wall-clock only, never the result); `max_components` == 0
+/// keeps every pooled component. Returns false (and fills `error`) on
+/// empty input or a part whose encoder is unknown or not mergeable
 /// ("pattern" summaries cannot be pooled). Refined parts merge through
 /// their naive payload; the output is always tagged "naive" because
 /// patterns are log-dependent and cannot be re-ranked offline.

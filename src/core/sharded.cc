@@ -1,6 +1,7 @@
 #include "core/sharded.h"
 
 #include <algorithm>
+#include <limits>
 
 #include "util/check.h"
 #include "util/stopwatch.h"
@@ -26,9 +27,11 @@ std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
   return h;
 }
 
-/// Degenerate pool for the per-shard pipelines: the shard loop already
-/// occupies the shared pool's workers, and ThreadPool::ParallelFor is
-/// not reentrant from inside a worker.
+/// Degenerate pool for every shard fit: the thread executor's shard loop
+/// already occupies the shared pool's workers (ThreadPool::ParallelFor
+/// is not reentrant from inside a worker), and a forked worker must
+/// never wait on the parent's pool threads, which do not exist after
+/// fork. It starts no threads, so it is safe to share across both.
 ThreadPool* SerialPool() {
   static ThreadPool* pool = new ThreadPool(0);
   return pool;
@@ -44,7 +47,11 @@ ShardedCompressor::ShardedCompressor(const LogView& log,
 }
 
 std::size_t ShardedCompressor::ClustersPerShard(const LogROptions& opts) {
-  return opts.num_shards > 1 ? 2 * opts.num_clusters : opts.num_clusters;
+  if (opts.num_shards <= 1) return opts.num_clusters;
+  // Saturate rather than wrap (a worker reads K off argv): the fit clamps
+  // K to the shard's distinct count anyway.
+  const std::size_t max_k = std::numeric_limits<std::size_t>::max();
+  return opts.num_clusters > max_k / 2 ? max_k : 2 * opts.num_clusters;
 }
 
 std::vector<std::vector<std::size_t>> ShardedCompressor::PartitionIndices(
@@ -76,21 +83,36 @@ std::vector<std::vector<std::size_t>> ShardedCompressor::PartitionIndices(
   return shards;
 }
 
+LogRSummary ShardedCompressor::FitShard(const LogView& shard,
+                                        const LogROptions& job) {
+  LogROptions opts;
+  opts.method = job.method;
+  opts.backend = job.backend;
+  opts.seed = job.seed;
+  opts.n_init = job.n_init;
+  opts.num_clusters = ClustersPerShard(job);
+  opts.encoder = "naive";  // shards merge through the naive family
+  opts.pool = SerialPool();
+  return CompressionPipeline(shard, opts).RunFixedK();
+}
+
+NaiveMixtureEncoding ShardedCompressor::Gather(
+    std::vector<NaiveMixtureEncoding> parts, std::size_t k,
+    ThreadPool* pool) {
+  std::vector<const NaiveMixtureEncoding*> ptrs;
+  ptrs.reserve(parts.size());
+  for (const NaiveMixtureEncoding& p : parts) ptrs.push_back(&p);
+  NaiveMixtureEncoding merged = NaiveMixtureEncoding::Merge(ptrs);
+  if (k == 0 || merged.NumComponents() <= k) return merged;
+  return merged.Reconcile(k, pool);
+}
+
 LogRSummary ShardedCompressor::Run() {
   Stopwatch timer;
   const LogView& log = log_;
   const std::vector<std::vector<std::size_t>> shards =
       PartitionIndices(log, opts_.num_shards, opts_.shard_policy);
   const std::size_t S = shards.size();
-
-  // Each shard pipeline reads through a zero-copy subview of the input
-  // (mmap or heap alike) — no per-shard QueryLog materialization. The
-  // subviews borrow `shards`, which outlives the pipeline loop below.
-  std::vector<LogView> shard_views;
-  shard_views.reserve(S);
-  for (const std::vector<std::size_t>& indices : shards) {
-    shard_views.push_back(log.Subview(indices));
-  }
 
   // The merge machinery is exact only for the naive mixture family:
   // resolve the requested encoder up front and fail loudly for
@@ -104,33 +126,23 @@ LogRSummary ShardedCompressor::Run() {
                  "(shard mixtures are pooled through the naive merge); "
                  "compress monolithically or pick naive/refined");
 
-  LogROptions shard_opts = opts_;
-  shard_opts.num_shards = 1;
-  shard_opts.pool = SerialPool();
-  shard_opts.encoder = "naive";    // shards merge through the naive family
-  shard_opts.refine_patterns = 0;  // refinement runs once, on the merge
-  LogROptions effective = opts_;
-  effective.num_shards = S;
-  shard_opts.num_clusters = ClustersPerShard(effective);
+  // Empty shards were dropped, so the job has S shards, not
+  // opts_.num_shards — ClustersPerShard keys off the effective count.
+  LogROptions job = opts_;
+  job.num_shards = S;
 
-  // One pipeline per shard, each writing only its own slot: the schedule
-  // never affects the result, so any thread count gives the same bits.
+  // One fit per shard through a zero-copy subview of the input (mmap or
+  // heap alike), each writing only its own slot: the schedule never
+  // affects the result, so any thread count gives the same bits.
+  // Subview() preserves index order, so shard-local distinct i is
+  // global shards[s][i]; members are remapped before the gather.
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
-  std::vector<LogRSummary> results(S);
+  std::vector<NaiveMixtureEncoding> parts(S);
+  std::vector<double> shard_cluster_seconds(S, 0.0);
   pool->ParallelForCoarse(0, S, [&](std::size_t s) {
-    results[s] = CompressionPipeline(shard_views[s], shard_opts).RunFixedK();
-  });
-
-  // Pool the per-shard mixtures with members remapped to global distinct
-  // indices. Subview() preserves index order, so shard-local distinct i
-  // is global shards[s][i].
-  double shard_cluster_seconds = 0.0;
-  std::vector<NaiveMixtureEncoding> parts;
-  parts.reserve(S);
-  for (std::size_t s = 0; s < S; ++s) {
-    shard_cluster_seconds += results[s].cluster_seconds;
-    const NaiveMixtureEncoding& shard_mix =
-        *results[s].Model().AsNaiveMixture();
+    const LogRSummary fit = FitShard(log.Subview(shards[s]), job);
+    shard_cluster_seconds[s] = fit.cluster_seconds;
+    const NaiveMixtureEncoding& shard_mix = *fit.Model().AsNaiveMixture();
     std::vector<MixtureComponent> comps;
     comps.reserve(shard_mix.NumComponents());
     for (std::size_t c = 0; c < shard_mix.NumComponents(); ++c) {
@@ -138,21 +150,15 @@ LogRSummary ShardedCompressor::Run() {
       for (std::size_t& m : comp.members) m = shards[s][m];
       comps.push_back(std::move(comp));
     }
-    parts.push_back(NaiveMixtureEncoding::FromComponents(std::move(comps)));
-  }
-  std::vector<const NaiveMixtureEncoding*> part_ptrs;
-  part_ptrs.reserve(S);
-  for (const NaiveMixtureEncoding& p : parts) part_ptrs.push_back(&p);
-  NaiveMixtureEncoding merged = NaiveMixtureEncoding::Merge(part_ptrs);
+    parts[s] = NaiveMixtureEncoding::FromComponents(std::move(comps));
+  });
 
-  // Reconcile the pooled components down to the requested K with the
-  // nearest-centroid-chain agglomeration (deterministic, backend-free).
-  const std::size_t k = std::max<std::size_t>(
-      1, std::min(opts_.num_clusters, log.NumDistinct()));
-  Stopwatch reconcile_timer;
-  NaiveMixtureEncoding reconciled = merged.Reconcile(k, pool);
+  Stopwatch gather_timer;
+  NaiveMixtureEncoding reconciled =
+      Gather(std::move(parts), opts_.num_clusters, pool);
   // Read before WrapMixture: encode/refine time is not clustering time.
-  const double reconcile_seconds = reconcile_timer.ElapsedSeconds();
+  double cluster_seconds = gather_timer.ElapsedSeconds();
+  for (double seconds : shard_cluster_seconds) cluster_seconds += seconds;
 
   LogRSummary out;
   out.assignment.assign(log.NumDistinct(), 0);
@@ -170,13 +176,9 @@ LogRSummary ShardedCompressor::Run() {
   enc_req.pattern_budget = opts_.pattern_budget;
   enc_req.seed = opts_.seed;
   out.model = encoder->WrapMixture(log, std::move(reconciled), enc_req);
-  out.cluster_seconds = shard_cluster_seconds + reconcile_seconds;
+  out.cluster_seconds = cluster_seconds;
   out.total_seconds = timer.ElapsedSeconds();
   return out;
-}
-
-LogRSummary CompressSharded(const LogView& log, const LogROptions& opts) {
-  return ShardedCompressor(log, opts).Run();
 }
 
 }  // namespace logr

@@ -1,22 +1,25 @@
-// Sharded compression: partition → per-shard pipelines → mixture
-// merge/reconcile.
+// Sharded compression: plan → per-shard fit → gather.
 //
 // The paper's target workloads are far larger than one pipeline pass
-// wants to hold (the bank log alone is 73M operations, Sec. 7).
-// ShardedCompressor splits a QueryLog's distinct vectors into S shards,
-// runs one CompressionPipeline per shard across the thread pool, then
-// merges the per-shard mixtures (NaiveMixtureEncoding::Merge) and
-// reconciles the pooled components back down to the requested K
-// (NaiveMixtureEncoding::Reconcile) by nearest-component-chain
-// agglomeration with exact fused-error linkage.
+// wants to hold (the bank log alone is 73M operations, Sec. 7). Both
+// shard executors — ShardedCompressor (threads over in-memory subviews)
+// and DistributedCompressor (worker processes over .logrl shard files,
+// core/distributed.h) — are built from the three pieces below, so
+// `--shards` and `distribute` agree by construction:
+//
+//   plan    PartitionIndices and ClustersPerShard.
+//   fit     FitShard: the only place per-shard options are derived.
+//   gather  Gather: NaiveMixtureEncoding::Merge, then Reconcile
+//           (nearest-component-chain agglomeration with exact
+//           fused-error linkage) down to K. MergeSummaries uses it too.
 //
 // Determinism contract: both shard policies assign each distinct vector
 // to exactly one shard from the data alone (never from thread timing),
-// every shard pipeline runs with a serial inner pool into its own
-// result slot, and the merge orders components canonically — so the
-// output is bit-identical for any thread count and any shard order.
-// Because shards partition the distinct vectors, the merge itself is
-// exact: only the reconcile step (absent when S*K <= K, e.g. S = 1)
+// every shard fit runs with a serial inner pool into its own result
+// slot, and the merge orders components canonically — so the output is
+// bit-identical for any thread count and any shard order. Because
+// shards partition the distinct vectors, the merge itself is exact:
+// only the reconcile step (absent when S*K <= K, e.g. S = 1)
 // approximates.
 #ifndef LOGR_CORE_SHARDED_H_
 #define LOGR_CORE_SHARDED_H_
@@ -33,12 +36,13 @@ class ShardedCompressor {
  public:
   /// The log behind `log` must outlive the compressor (a QueryLog or an
   /// MmapQueryLog; both convert implicitly). Shard count and policy come
-  /// from `opts` (num_shards, shard_policy); each shard is compressed to
-  /// opts.num_clusters components and the merged pool is reconciled back
-  /// to opts.num_clusters.
+  /// from `opts` (num_shards, shard_policy); each shard is fitted at
+  /// ClustersPerShard and the merged pool is reconciled back to
+  /// opts.num_clusters.
   ShardedCompressor(const LogView& log, const LogROptions& opts);
 
-  /// Partition → per-shard pipelines → merge → reconcile → (refine).
+  /// Partition → FitShard per shard across the pool → Gather → wrap
+  /// (and, for "refined", refine once) with the requested encoder.
   /// The summary has the same shape as a monolithic Compress: a global
   /// assignment over the log's distinct vectors, an encoding whose
   /// components carry global member indices, and stage timings (CPU
@@ -62,14 +66,28 @@ class ShardedCompressor {
   static std::vector<std::vector<std::size_t>> PartitionIndices(
       const LogView& log, std::size_t num_shards, ShardPolicy policy);
 
+  /// The per-shard fit every executor runs: compresses `shard` to
+  /// ClustersPerShard(job) components with the naive encoder, no
+  /// refinement and a serial pool (fits run inside an executor's own
+  /// parallelism, and a forked worker must not use the parent's pool).
+  /// Of `job` — the whole job's options, num_shards being the effective
+  /// shard count — only method/backend, seed, n_init, num_clusters and
+  /// num_shards are read, so every executor fits a shard identically.
+  static LogRSummary FitShard(const LogView& shard, const LogROptions& job);
+
+  /// The gather every executor ends with: pools `parts` (canonical
+  /// component order, so the part order never matters) and, when the
+  /// pool holds more than `k` components, reconciles it down to `k` on
+  /// `pool`. `k` == 0 keeps every pooled component. No clamp to the
+  /// log's distinct count is needed: a shard fit has at most one
+  /// component per distinct vector, so the pool never exceeds it.
+  static NaiveMixtureEncoding Gather(std::vector<NaiveMixtureEncoding> parts,
+                                     std::size_t k, ThreadPool* pool);
+
  private:
   LogView log_;
   LogROptions opts_;
 };
-
-/// Convenience wrapper: ShardedCompressor(log, opts).Run(). Compress()
-/// routes here when opts.num_shards > 1.
-LogRSummary CompressSharded(const LogView& log, const LogROptions& opts);
 
 }  // namespace logr
 

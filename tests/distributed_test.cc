@@ -25,7 +25,6 @@
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
 #include "util/subprocess.h"
-#include "workload/binary_log.h"
 
 namespace logr {
 namespace {
@@ -54,38 +53,19 @@ std::string UniqueDir(const std::string& tag) {
   return ::testing::TempDir() + "logr_dist_" + tag + "_" + pid;
 }
 
-/// Splits `log` the way `logr_cli split` does — the same
-/// PartitionIndices policy the in-process sharded path uses — and
-/// writes one .logrl per shard under a fresh directory.
+/// Splits `log` the way `logr_cli split` does (WriteShardFiles — the
+/// same PartitionIndices policy the in-process sharded path uses) into
+/// one .logrl per shard under a fresh directory.
 std::vector<std::string> WriteShards(const QueryLog& log,
                                      std::size_t num_shards,
                                      const std::string& tag) {
-  const std::string dir = UniqueDir(tag);
+  std::vector<ShardFile> written;
   std::string error;
-  EXPECT_TRUE(EnsureDirectory(dir, &error)) << error;
-  LogView view(log);
-  const std::vector<std::vector<std::size_t>> parts =
-      ShardedCompressor::PartitionIndices(view, num_shards,
-                                          ShardPolicy::kHashDistinct);
+  EXPECT_TRUE(WriteShardFiles(log, num_shards, ShardPolicy::kHashDistinct,
+                              UniqueDir(tag), tag, &written, &error))
+      << error;
   std::vector<std::string> paths;
-  for (std::size_t s = 0; s < parts.size(); ++s) {
-    QueryLog sublog = view.MaterializeSubset(parts[s]);
-    DatasetSummary stats;
-    stats.name = tag + "-s" + std::to_string(s);
-    stats.num_queries = sublog.TotalQueries();
-    stats.num_distinct = sublog.NumDistinct();
-    stats.num_distinct_no_const = sublog.NumDistinct();
-    stats.max_multiplicity = sublog.MaxMultiplicity();
-    stats.num_features = sublog.NumFeatures();
-    stats.num_features_no_const = sublog.NumFeatures();
-    stats.avg_features_per_query = sublog.AvgFeaturesPerQuery();
-    char name[64];
-    std::snprintf(name, sizeof(name), "/shard-%03zu.logrl", s);
-    const std::string path = dir + name;
-    EXPECT_TRUE(BinaryLogWriter::WriteFile(path, sublog, stats, &error))
-        << error;
-    paths.push_back(path);
-  }
+  for (const ShardFile& file : written) paths.push_back(file.path);
   return paths;
 }
 
@@ -110,13 +90,11 @@ DistributedOptions ForkModeOptions(std::size_t num_clusters,
 /// The reference result every distributed run must reproduce bit for
 /// bit: the in-process sharded compression of the same split.
 std::string ShardedReferenceBytes(const QueryLog& log,
-                                  std::size_t num_clusters,
+                                  const DistributedOptions& dist,
                                   std::size_t num_shards) {
-  LogROptions opts;
-  opts.num_clusters = num_clusters;
+  LogROptions opts = dist.compression;
   opts.num_shards = num_shards;
-  opts.encoder = "naive";
-  LogRSummary sharded = CompressSharded(log, opts);
+  LogRSummary sharded = ShardedCompressor(log, opts).Run();
   return Bytes(log.vocabulary(), sharded.Model());
 }
 
@@ -140,7 +118,7 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
   // Worker processes + spool files + merge must equal the one-process
   // sharded pipeline exactly — same bytes, not approximately.
   EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 6, 4));
+            ShardedReferenceBytes(log, opts, 4));
 
   // Third leg of the identity: loading the spooled per-shard summaries
   // and merging offline reproduces the same bytes again.
@@ -155,7 +133,7 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
       MergeSummaries(parts, 6, opts.compression, &merged, &error))
       << error;
   EXPECT_EQ(Bytes(merged.vocabulary, *merged.model),
-            ShardedReferenceBytes(log, 6, 4));
+            ShardedReferenceBytes(log, opts, 4));
 }
 
 TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
@@ -166,8 +144,33 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
   DistributedResult result;
   std::string error;
   ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
+  const std::string kmeans_bytes =
+      Bytes(result.summary.vocabulary, *result.summary.model);
+  EXPECT_EQ(kmeans_bytes, ShardedReferenceBytes(log, opts, 3));
+
+  // Option forwarding: a non-default method, seed and n_init must reach
+  // every shard fit in all three legs (workers, in-process sharding,
+  // offline merge of the spooled parts).
+  opts = ForkModeOptions(5, "bank_id_hier_spool");
+  opts.compression.method = ClusteringMethod::kHierarchicalAverage;
+  opts.compression.seed = 91;
+  opts.compression.n_init = 2;
+  ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
+  const std::string reference =
+      ShardedReferenceBytes(log, opts, 3);
   EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 5, 3));
+            reference);
+  EXPECT_NE(reference, kmeans_bytes);
+  std::vector<PersistedSummary> parts(result.shards.size());
+  for (std::size_t s = 0; s < result.shards.size(); ++s) {
+    ASSERT_TRUE(ReadSummaryFile(result.shards[s].summary_path, &parts[s],
+                                &error))
+        << error;
+  }
+  PersistedSummary merged;
+  ASSERT_TRUE(MergeSummaries(parts, 5, opts.compression, &merged, &error))
+      << error;
+  EXPECT_EQ(Bytes(merged.vocabulary, *merged.model), reference);
 }
 
 TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
@@ -258,7 +261,7 @@ TEST(DistributedTest, ExecSpawnFailureFallsBackInProcess) {
     EXPECT_TRUE(r.inprocess) << r.shard_path;
   }
   EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, 4, 2));
+            ShardedReferenceBytes(log, opts, 2));
 
   // With the fallback disabled the job must fail loudly instead.
   opts.inprocess_fallback = false;
@@ -273,10 +276,11 @@ TEST(DistributedTest, WorkerArgvRoundTrips) {
   DistributedWorkerOptions opts;
   opts.shard_path = "/tmp/in.logrl";
   opts.out_path = "/tmp/out.summary";
-  opts.num_clusters = 9;
-  opts.method = "hamming";
-  opts.seed = 123;
-  opts.n_init = 7;
+  opts.compression.num_clusters = 9;
+  opts.compression.num_shards = 5;
+  opts.compression.method = ClusteringMethod::kSpectralHamming;
+  opts.compression.seed = 123;
+  opts.compression.n_init = 7;
   opts.shard_index = 3;
   opts.attempt = 2;
 
@@ -285,38 +289,34 @@ TEST(DistributedTest, WorkerArgvRoundTrips) {
   ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
   EXPECT_EQ(parsed.shard_path, opts.shard_path);
   EXPECT_EQ(parsed.out_path, opts.out_path);
-  EXPECT_EQ(parsed.num_clusters, opts.num_clusters);
-  EXPECT_EQ(parsed.method, opts.method);
-  EXPECT_EQ(parsed.seed, opts.seed);
-  EXPECT_EQ(parsed.n_init, opts.n_init);
+  EXPECT_EQ(parsed.compression.num_clusters, opts.compression.num_clusters);
+  EXPECT_EQ(parsed.compression.num_shards, opts.compression.num_shards);
+  EXPECT_EQ(parsed.compression.method, opts.compression.method);
+  EXPECT_EQ(parsed.compression.backend, "");
+  EXPECT_EQ(parsed.compression.seed, opts.compression.seed);
+  EXPECT_EQ(parsed.compression.n_init, opts.compression.n_init);
   EXPECT_EQ(parsed.shard_index, opts.shard_index);
   EXPECT_EQ(parsed.attempt, opts.attempt);
+
+  // A non-built-in method travels as a registry backend name.
+  opts.compression.backend = "custom-backend";
+  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
+  EXPECT_EQ(parsed.compression.backend, "custom-backend");
 
   DistributedWorkerOptions bad;
   EXPECT_FALSE(ParseWorkerArgv({"--bogus", "1"}, &bad, &error));
   EXPECT_FALSE(ParseWorkerArgv({"--out", "/tmp/x"}, &bad, &error));
-}
-
-TEST(DistributedTest, ClustersPerShardMatchesShardedContract) {
-  // Workers must compress at the exact K the in-process sharded path
-  // would, or the gathered merge stops being bit-identical.
-  for (std::size_t k : {1u, 4u, 9u}) {
-    for (std::size_t s : {1u, 2u, 8u}) {
-      LogROptions opts;
-      opts.num_clusters = k;
-      opts.num_shards = s;
-      EXPECT_EQ(DistributedCompressor::ClustersPerShard(k, s),
-                ShardedCompressor::ClustersPerShard(opts))
-          << "K=" << k << " S=" << s;
-    }
-  }
+  EXPECT_FALSE(ParseWorkerArgv(
+      {"--shard", "a", "--out", "b", "--shards", "0"}, &bad, &error));
+  EXPECT_FALSE(ParseWorkerArgv(
+      {"--shard", "a", "--out", "b", "--method", ""}, &bad, &error));
 }
 
 TEST(DistributedTest, WorkerRejectsMissingShardFile) {
   DistributedWorkerOptions opts;
   opts.shard_path = UniqueDir("absent") + "/missing.logrl";
   opts.out_path = UniqueDir("absent") + "/missing.summary";
-  opts.num_clusters = 2;
+  opts.compression.num_clusters = 2;
   std::string error;
   EXPECT_FALSE(RunDistributedWorker(opts, &error));
   EXPECT_FALSE(error.empty());
@@ -328,7 +328,7 @@ TEST(DistributedTest, WorkerSpoolsALoadableSummary) {
   DistributedWorkerOptions opts;
   opts.shard_path = shards[0];
   opts.out_path = UniqueDir("spool_one") + "/one.summary";
-  opts.num_clusters = 4;
+  opts.compression.num_clusters = 4;
   std::string error;
   ASSERT_TRUE(RunDistributedWorker(opts, &error)) << error;
   PersistedSummary loaded;

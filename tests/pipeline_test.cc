@@ -215,7 +215,7 @@ TEST(PipelineTest, RefinedEncoderNeverWorsensError) {
   QueryLog log = GroupedLog(3, 12, 59);
   LogROptions opts;
   opts.num_clusters = 2;
-  // The legacy refine_patterns knob routes to the "refined" encoder.
+  opts.encoder = "refined";
   opts.refine_patterns = 4;
   LogRSummary s = Compress(log, opts);
   EXPECT_STREQ(s.Model().EncoderName(), "refined");

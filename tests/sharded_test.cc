@@ -108,7 +108,7 @@ TEST(ShardedTest, SingleShardMatchesMonolithicExactly) {
   opts.encoder = "naive";
   LogRSummary mono = Compress(log, opts);
   opts.num_shards = 1;
-  LogRSummary sharded = CompressSharded(log, opts);
+  LogRSummary sharded = ShardedCompressor(log, opts).Run();
 
   // Reconcile is the identity here (one shard's components already fit
   // K), so the summary must match the monolithic fit component for
@@ -167,7 +167,7 @@ TEST(ShardedTest, BitIdenticalAcrossThreadCounts) {
     opts.seed = 43;
     opts.encoder = "naive";
     opts.pool = pool;
-    return CompressSharded(log, opts);
+    return ShardedCompressor(log, opts).Run();
   };
   ThreadPool serial(1);
   LogRSummary base = run(&serial);
@@ -280,7 +280,7 @@ TEST(ShardedTest, OfflineSummaryMergeMatchesInProcessSharding) {
 
   LogROptions sharded_opts = opts;
   sharded_opts.num_shards = 3;
-  LogRSummary in_process = CompressSharded(log, sharded_opts);
+  LogRSummary in_process = ShardedCompressor(log, sharded_opts).Run();
 
   ASSERT_EQ(merged.encoding.NumComponents(),
             Mix(in_process).NumComponents());
