@@ -29,6 +29,7 @@
 #include "serve/server.h"
 #include "serve/summary_registry.h"
 #include "sql/parser.h"
+#include "support/agglomerate_reference.h"
 #include "util/check.h"
 #include "workload/binary_log.h"
 #include "workload/extractor.h"
@@ -276,40 +277,68 @@ void BM_DistanceMatrixSerial(benchmark::State& state) {
 }
 BENCHMARK(BM_DistanceMatrixSerial)->Unit(benchmark::kMillisecond);
 
+/// The first `state.range(0)` bank vectors. The argument lists below
+/// straddle DistanceMatrix's parallel cutoff (kParallelTiles in
+/// cluster/distance.cc: 200 vectors are 3 tiles, 600 are 15, 1,280 are
+/// 55 and all 1,712 are 105), so comparing the two benches per size
+/// re-measures the crossover.
+std::vector<FeatureVec> BankVectorPrefix(const benchmark::State& state) {
+  const DistanceInput& in = BankVectorsSingleton();
+  const std::size_t prefix = static_cast<std::size_t>(state.range(0));
+  const std::size_t count = std::min(in.vecs.size(), prefix);
+  return std::vector<FeatureVec>(in.vecs.begin(), in.vecs.begin() + count);
+}
+
 void BM_PackedDistanceMatrix(benchmark::State& state) {
   // XOR+popcount over the bit-packed pool, single-core (packing cost
   // included). Target: >= 5x over BM_DistanceMatrixSerial on this log.
-  const DistanceInput& in = BankVectorsSingleton();
+  const std::size_t num_features = BankVectorsSingleton().num_features;
+  const std::vector<FeatureVec> vecs = BankVectorPrefix(state);
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   for (auto _ : state) {
-    Matrix d = DistanceMatrix(in.vecs, in.num_features, spec,
-                              /*pool=*/nullptr);
+    Matrix d = DistanceMatrix(vecs, num_features, spec, /*pool=*/nullptr);
     benchmark::DoNotOptimize(d(0, 1));
   }
-  state.counters["vectors"] = static_cast<double>(in.vecs.size());
+  state.counters["vectors"] = static_cast<double>(vecs.size());
   state.counters["words_per_vec"] =
-      static_cast<double>((in.num_features + 63) / 64);
+      static_cast<double>((num_features + 63) / 64);
   state.SetLabel(PopcountKernelName(SelectedPopcountKernel()));
 }
-BENCHMARK(BM_PackedDistanceMatrix)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PackedDistanceMatrix)
+    ->Arg(200)
+    ->Arg(600)
+    ->Arg(1280)
+    ->Arg(1712)
+    ->Unit(benchmark::kMillisecond);
 
 void BM_DistanceMatrixParallel(benchmark::State& state) {
   // Packed kernel + balanced block-tiled scheduling over the shared
   // pool. Bit-identical to both serial paths; wall-clock scales with
-  // LOGR_THREADS on multi-core hardware.
-  const DistanceInput& in = BankVectorsSingleton();
+  // LOGR_THREADS on multi-core hardware above the parallel cutoff.
+  const std::size_t num_features = BankVectorsSingleton().num_features;
+  const std::vector<FeatureVec> vecs = BankVectorPrefix(state);
   DistanceSpec spec;
   spec.metric = Metric::kHamming;
   ThreadPool* pool = ThreadPool::Shared();
+  const std::size_t jobs_before = pool->JobsDispatched();
   for (auto _ : state) {
-    Matrix d = DistanceMatrix(in.vecs, in.num_features, spec, pool);
+    Matrix d = DistanceMatrix(vecs, num_features, spec, pool);
     benchmark::DoNotOptimize(d(0, 1));
   }
-  state.counters["vectors"] = static_cast<double>(in.vecs.size());
+  state.counters["vectors"] = static_cast<double>(vecs.size());
   state.counters["threads"] = static_cast<double>(pool->NumThreads());
+  // 1 when each matrix went to the workers, 0 when it ran inline.
+  state.counters["dispatched"] =
+      static_cast<double>(pool->JobsDispatched() - jobs_before) /
+      static_cast<double>(state.iterations());
 }
-BENCHMARK(BM_DistanceMatrixParallel)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_DistanceMatrixParallel)
+    ->Arg(200)
+    ->Arg(600)
+    ->Arg(1280)
+    ->Arg(1712)
+    ->Unit(benchmark::kMillisecond);
 
 const Matrix& BankDistanceMatrixSingleton() {
   static const Matrix* kMatrix = [] {

@@ -23,6 +23,13 @@ constexpr std::size_t kPackedBudgetWords = std::size_t{1} << 27;
 /// parallelism, where row i carries count-i columns).
 constexpr std::size_t kTile = 128;
 
+/// Fewest tiles worth handing to the pool. Measured with micro_core's
+/// BM_PackedDistanceMatrix vs BM_DistanceMatrixParallel over bank-vector
+/// prefixes on a 4-thread pool (4 vCPU, AVX-512): 3 tiles (200 vectors)
+/// break even (0.24 vs 0.24 ms), 6 tiles (300) already win (0.43 vs
+/// 0.48 ms), 10 tiles (400) win by 30%.
+constexpr std::size_t kParallelTiles = 6;
+
 }  // namespace
 
 std::string DistanceSpec::Name() const {
@@ -131,7 +138,7 @@ Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
       tiles.emplace_back(bi, bj);
     }
   }
-  ParallelFor(pool, 0, tiles.size(), [&](std::size_t t) {
+  ParallelFor(pool, 0, tiles.size(), kParallelTiles, [&](std::size_t t) {
     const std::size_t i_lo = tiles[t].first * kTile;
     const std::size_t i_hi = std::min(count, i_lo + kTile);
     const std::size_t j_lo = tiles[t].second * kTile;
@@ -189,7 +196,7 @@ Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
   // Row-parallel over the upper triangle; rows write disjoint entries
   // ((i, j) and its mirror (j, i) with j > i), so any schedule produces
   // the same matrix.
-  ParallelFor(pool, 0, count, [&](std::size_t i) {
+  ParallelFor(pool, 0, count, /*grain=*/64, [&](std::size_t i) {
     for (std::size_t j = i + 1; j < count; ++j) {
       double v = Distance(vecs[i], vecs[j], n, spec);
       d(i, j) = v;
@@ -204,7 +211,8 @@ std::vector<double> DistancePairs(
     const std::vector<std::pair<std::size_t, std::size_t>>& pairs,
     const DistanceSpec& spec, ThreadPool* pool) {
   std::vector<double> out(pairs.size());
-  ParallelFor(pool, 0, pairs.size(), [&](std::size_t p) {
+  // Grain 64: one pair is a single XOR+popcount sweep.
+  ParallelFor(pool, 0, pairs.size(), /*grain=*/64, [&](std::size_t p) {
     out[p] = DistanceFromSymmetricDifference(
         packed.SymmetricDifference(pairs[p].first, pairs[p].second),
         packed.num_features(), spec);

@@ -75,9 +75,10 @@ Matrix DistanceMatrix(const std::vector<FeatureVec>& vecs, std::size_t n,
 Matrix DistanceMatrix(const PackedVecPool& packed, const DistanceSpec& spec,
                       ThreadPool* pool);
 
-/// Reference merge-kernel matrix (row-parallel upper triangle). Kept as
-/// the bit-identity baseline for tests and benches; DistanceMatrix is
-/// the fast path.
+/// Merge-kernel matrix (row-parallel upper triangle over sorted id
+/// lists). DistanceMatrix falls back to it when the packed pool would
+/// not fit its memory budget (PackedPoolFits); tests and benches also
+/// use it as the bit-identity baseline of the packed fast path.
 Matrix DistanceMatrixMerge(const std::vector<FeatureVec>& vecs,
                            std::size_t n, const DistanceSpec& spec,
                            ThreadPool* pool);

@@ -36,18 +36,14 @@ struct Dendrogram {
 /// array (lazily invalidated when a slot's cached neighbor merges) makes
 /// most nearest() calls O(1), and the remaining full scans plus the
 /// Lance-Williams row updates run across `pool` (nullptr = serial).
-/// Bit-identical to AgglomerativeAverageLinkageReference for every pool
-/// size: the cache is exact (deterministic index tie-breaks preserved)
-/// and all parallel stages write index-addressed slots with serial,
-/// index-ordered reductions.
+/// Bit-identical to the original serial NN-chain (full nearest scans, no
+/// cache; the test oracle in tests/support/agglomerate_reference.h) for
+/// every pool size: the cache is exact (deterministic index tie-breaks
+/// preserved) and all parallel stages write index-addressed slots with
+/// serial, index-ordered reductions.
 Dendrogram AgglomerativeAverageLinkage(const Matrix& distances,
                                        const std::vector<double>& weights,
                                        ThreadPool* pool = nullptr);
-
-/// The original serial NN-chain (full nearest scans, no cache). Kept as
-/// the bit-identity reference for tests and benches.
-Dendrogram AgglomerativeAverageLinkageReference(
-    const Matrix& distances, const std::vector<double>& weights);
 
 }  // namespace logr
 

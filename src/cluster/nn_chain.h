@@ -87,8 +87,7 @@ class NNChainScan {
     const std::size_t num_chunks =
         (list_len + scan_chunk_ - 1) / scan_chunk_;
     const std::uint32_t* list = slot_list_.data();
-    ParallelForInlinable(pool_, 0, num_chunks, scan_grain_,
-                         [&](std::size_t c) {
+    ParallelFor(pool_, 0, num_chunks, scan_grain_, [&](std::size_t c) {
       const std::size_t lo = c * scan_chunk_;
       const std::size_t hi = std::min(list_len, lo + scan_chunk_);
       double best = std::numeric_limits<double>::max();

@@ -170,11 +170,7 @@ class PatternEncoder : public Encoder {
       fitted[c] = std::make_unique<PatternMixtureModel::Component>(
           weight, PatternEncoding(sublog, SelectPatterns(sublog, budget)));
     };
-    if (req.pool != nullptr && req.pool->NumThreads() > 1) {
-      req.pool->ParallelForCoarse(0, req.k, fit_component);
-    } else {
-      for (std::size_t c = 0; c < req.k; ++c) fit_component(c);
-    }
+    ParallelFor(req.pool, 0, req.k, /*grain=*/1, fit_component);
     std::vector<PatternMixtureModel::Component> components;
     components.reserve(req.k);
     for (std::size_t c = 0; c < req.k; ++c) {
@@ -302,7 +298,7 @@ std::shared_ptr<const RefinedMixtureModel> RefineMixture(
   std::vector<double> errors(mixture.NumComponents(), 0.0);
   // Every component is an independent mine + rank + max-ent fit writing
   // only its own retained[c] / errors[c] slot, so the loop fans out
-  // across the pool (coarse: one component is whole milliseconds of
+  // across the pool (grain 1: one component is whole milliseconds of
   // work) with bit-identical results for any thread count.
   auto refine_component = [&](std::size_t c) {
     const MixtureComponent& comp = mixture.Component(c);
@@ -321,13 +317,7 @@ std::shared_ptr<const RefinedMixtureModel> RefineMixture(
     errors[c] = std::min(naive_err, ref.ReproductionError());
     retained[c] = ref.retained_patterns();
   };
-  if (pool != nullptr && pool->NumThreads() > 1) {
-    pool->ParallelForCoarse(0, mixture.NumComponents(), refine_component);
-  } else {
-    for (std::size_t c = 0; c < mixture.NumComponents(); ++c) {
-      refine_component(c);
-    }
-  }
+  ParallelFor(pool, 0, mixture.NumComponents(), /*grain=*/1, refine_component);
   return std::make_shared<RefinedMixtureModel>(
       std::move(mixture), std::move(retained), std::move(errors));
 }

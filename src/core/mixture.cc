@@ -289,7 +289,7 @@ NaiveMixtureEncoding NaiveMixtureEncoding::FromPartition(
   }
 
   std::vector<MixtureComponent> slots(k);
-  ParallelFor(pool, 0, k, [&](std::size_t c) {
+  ParallelFor(pool, 0, k, /*grain=*/1, [&](std::size_t c) {
     if (members[c].empty()) return;  // empty clusters are dropped
     MixtureComponent comp;
     comp.members = std::move(members[c]);

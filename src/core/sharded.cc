@@ -28,8 +28,8 @@ std::uint64_t StableVectorHash(const FeatureId* ids, std::size_t len) {
 }
 
 /// Degenerate pool for every shard fit: the thread executor's shard loop
-/// already occupies the shared pool's workers (ThreadPool::ParallelFor
-/// is not reentrant from inside a worker), and a forked worker must
+/// already occupies the shared pool's workers (ParallelFor is not
+/// reentrant from inside a worker), and a forked worker must
 /// never wait on the parent's pool threads, which do not exist after
 /// fork. It starts no threads, so it is safe to share across both.
 ThreadPool* SerialPool() {
@@ -139,7 +139,7 @@ LogRSummary ShardedCompressor::Run() {
   ThreadPool* pool = opts_.pool ? opts_.pool : ThreadPool::Shared();
   std::vector<NaiveMixtureEncoding> parts(S);
   std::vector<double> shard_cluster_seconds(S, 0.0);
-  pool->ParallelForCoarse(0, S, [&](std::size_t s) {
+  ParallelFor(pool, 0, S, /*grain=*/1, [&](std::size_t s) {
     const LogRSummary fit = FitShard(log.Subview(shards[s]), job);
     shard_cluster_seconds[s] = fit.cluster_seconds;
     const NaiveMixtureEncoding& shard_mix = *fit.Model().AsNaiveMixture();

@@ -7,6 +7,8 @@ namespace logr::sql {
 namespace {
 
 // Precedence levels for parenthesization (higher binds tighter).
+constexpr int kComparison = 4;
+
 int Precedence(const Expr& e) {
   switch (e.kind) {
     case ExprKind::kBinary:
@@ -15,7 +17,7 @@ int Precedence(const Expr& e) {
         case BinaryOp::kAnd: return 2;
         case BinaryOp::kEq: case BinaryOp::kNe: case BinaryOp::kLt:
         case BinaryOp::kLe: case BinaryOp::kGt: case BinaryOp::kGe:
-          return 4;
+          return kComparison;
         case BinaryOp::kConcat: return 5;
         case BinaryOp::kAdd: case BinaryOp::kSub: return 6;
         case BinaryOp::kMul: case BinaryOp::kDiv: case BinaryOp::kMod:
@@ -29,7 +31,7 @@ int Precedence(const Expr& e) {
     case ExprKind::kBetween:
     case ExprKind::kIsNull:
     case ExprKind::kLike:
-      return 4;
+      return kComparison;
     default:
       return 10;  // primaries never need parens
   }
@@ -55,8 +57,21 @@ const char* BinaryOpText(BinaryOp op) {
   return "?";
 }
 
-void AppendChild(const Expr& parent, const Expr& child, std::string* out) {
-  const bool paren = Precedence(child) < Precedence(parent);
+// `right` marks a binary operator's right operand. An equal-precedence
+// child keeps its brackets where the parser would regroup it: on the
+// right (operators associate left: `a - (b - c)`) and on either side of
+// a comparison, which does not chain. AND/OR chains print flat: their
+// grouping never changes the meaning, and the normalizer rebuilds them
+// as balanced trees.
+void AppendChild(const Expr& parent, const Expr& child, std::string* out,
+                 bool right = false) {
+  const int parent_prec = Precedence(parent);
+  const int child_prec = Precedence(child);
+  const bool and_or = parent.binary_op == BinaryOp::kAnd ||
+                      parent.binary_op == BinaryOp::kOr;
+  const bool paren = child_prec < parent_prec ||
+                     (child_prec == parent_prec &&
+                      (parent_prec == kComparison || (right && !and_or)));
   if (paren) out->push_back('(');
   AppendExpr(child, out);
   if (paren) out->push_back(')');
@@ -161,7 +176,7 @@ void AppendExpr(const Expr& e, std::string* out) {
       out->push_back(' ');
       out->append(BinaryOpText(e.binary_op));
       out->push_back(' ');
-      AppendChild(e, *e.children[1], out);
+      AppendChild(e, *e.children[1], out, /*right=*/true);
       return;
     case ExprKind::kFunction:
       if (e.column == "CAST" && e.children.size() == 1) {

@@ -1,14 +1,16 @@
 // Fixed-size worker pool for data-parallel hot paths (distance matrices,
-// k-means assignment).
+// k-means assignment, per-component and per-shard fits).
 //
-// The pool exposes one primitive, ParallelFor, chosen so that callers stay
-// bit-deterministic: iterations write to disjoint, index-addressed slots and
-// any order-sensitive reduction is done serially by the caller afterwards.
-// Scheduling (dynamic block claiming) therefore never changes results, only
+// Loops run through one primitive, the free ParallelFor below, chosen so
+// that callers stay bit-deterministic: iterations write to disjoint,
+// index-addressed slots and any order-sensitive reduction is done
+// serially by the caller afterwards. Scheduling (inline, or dynamic
+// block claiming on the pool) therefore never changes results, only
 // wall-clock time.
 #ifndef LOGR_UTIL_THREAD_POOL_H_
 #define LOGR_UTIL_THREAD_POOL_H_
 
+#include <algorithm>
 #include <atomic>
 #include <condition_variable>
 #include <cstdlib>
@@ -18,14 +20,15 @@
 #include <mutex>
 #include <queue>
 #include <thread>
+#include <utility>
 #include <vector>
 
 namespace logr {
 
 class ThreadPool {
  public:
-  /// Starts `num_threads` workers. 0 or 1 creates a degenerate pool whose
-  /// ParallelFor runs inline on the calling thread.
+  /// Starts `num_threads` workers. 0 or 1 creates a degenerate pool on
+  /// which ParallelFor runs inline on the calling thread.
   explicit ThreadPool(std::size_t num_threads) {
     if (num_threads <= 1) return;
     workers_.reserve(num_threads);
@@ -51,47 +54,9 @@ class ThreadPool {
     return workers_.empty() ? 1 : workers_.size();
   }
 
-  /// Runs `fn(i)` for every i in [begin, end) and returns once all
-  /// iterations completed. The calling thread participates, so the pool
-  /// makes progress even while its workers are busy elsewhere. Iterations
-  /// are claimed in contiguous blocks; `fn` must tolerate concurrent calls
-  /// on distinct indices. If `fn` throws, remaining iterations are
-  /// abandoned and the first exception is rethrown on the calling thread
-  /// after every in-flight worker has stopped touching the job. Not
-  /// reentrant: do not call ParallelFor from inside `fn`.
-  void ParallelFor(std::size_t begin, std::size_t end,
-                   const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    const std::size_t n = end - begin;
-    // Small ranges run inline: the job-queue round trip (lock, wakeup,
-    // completion wait) costs more than a short loop, and the adaptive
-    // strategy issues many tiny k=2 bisections.
-    if (workers_.empty() || n <= kInlineThreshold) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-
-    // Small contiguous blocks + an atomic cursor: dynamic load balancing
-    // for skewed iterations (e.g. triangular distance loops).
-    Dispatch(begin, end, std::max<std::size_t>(1, n / (workers_.size() * 8)),
-             fn);
-  }
-
-  /// ParallelFor for coarse-grained iterations (e.g. one whole
-  /// compression pipeline per shard): always dispatches to the workers,
-  /// one index per block, even when the range is far below the inline
-  /// threshold. The determinism contract is the same — iterations write
-  /// to disjoint index-addressed slots. `fn` must not call back into
-  /// this pool (see ParallelFor's reentrancy note).
-  void ParallelForCoarse(std::size_t begin, std::size_t end,
-                         const std::function<void(std::size_t)>& fn) {
-    if (begin >= end) return;
-    if (workers_.empty()) {
-      for (std::size_t i = begin; i < end; ++i) fn(i);
-      return;
-    }
-    Dispatch(begin, end, /*block=*/1, fn);
-  }
+  /// Loops this pool has handed to its workers so far (inline runs are
+  /// not counted). Lets tests prove a loop really ran in parallel.
+  std::size_t JobsDispatched() const { return jobs_dispatched_.load(); }
 
   /// Process-wide pool sized from the LOGR_THREADS environment variable,
   /// defaulting to the hardware concurrency. Intentionally leaked so it
@@ -102,13 +67,12 @@ class ThreadPool {
   }
 
  private:
-  /// Below this many iterations the dispatch overhead dominates any
-  /// parallel win, so the loop runs inline on the caller.
-  static constexpr std::size_t kInlineThreshold = 64;
+  template <typename Fn>
+  friend void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
+                          std::size_t grain, Fn&& fn);
 
   struct ForJob {
     std::atomic<std::size_t> next{0};
-    std::size_t begin = 0;
     std::size_t end = 0;
     std::size_t block = 1;
     const std::function<void(std::size_t)>* fn = nullptr;
@@ -118,14 +82,21 @@ class ThreadPool {
     std::exception_ptr error;  // first exception thrown by `fn`
   };
 
-  /// Queues [begin, end) in blocks of `block` and blocks until every
-  /// iteration completed (the caller participates as a worker).
-  void Dispatch(std::size_t begin, std::size_t end, std::size_t block,
+  /// Runs [begin, end) on the workers and blocks until every iteration
+  /// completed. The calling thread participates, so the pool makes
+  /// progress even while its workers are busy elsewhere. Iterations are
+  /// claimed in small contiguous blocks off an atomic cursor — dynamic
+  /// load balancing for skewed iterations (e.g. triangular distance
+  /// loops). If `fn` throws, remaining iterations are abandoned and the
+  /// first exception is rethrown here after every in-flight worker has
+  /// stopped touching the job.
+  void Dispatch(std::size_t begin, std::size_t end,
                 const std::function<void(std::size_t)>& fn) {
     const std::size_t n = end - begin;
+    const std::size_t block =
+        std::max<std::size_t>(1, n / (workers_.size() * 8));
     auto job = std::make_shared<ForJob>();
     job->next.store(begin);
-    job->begin = begin;
     job->end = end;
     job->block = block;
     job->fn = &fn;
@@ -133,6 +104,7 @@ class ThreadPool {
     const std::size_t helpers =
         std::min(workers_.size(), (n + block - 1) / block);
     job->pending.store(static_cast<long>(helpers));
+    jobs_dispatched_.fetch_add(1);
     {
       std::lock_guard<std::mutex> lock(mu_);
       for (std::size_t t = 0; t < helpers; ++t) jobs_.push(job);
@@ -200,35 +172,27 @@ class ThreadPool {
   std::condition_variable wake_;
   std::queue<std::shared_ptr<ForJob>> jobs_;
   bool stopping_ = false;
+  std::atomic<std::size_t> jobs_dispatched_{0};
 };
 
-/// Convenience wrapper: serial loop when `pool` is null, pooled otherwise.
-inline void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
-                        const std::function<void(std::size_t)>& fn) {
-  if (pool == nullptr) {
-    for (std::size_t i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  pool->ParallelFor(begin, end, fn);
-}
-
-/// ParallelFor for hot loops whose per-iteration body is tiny (a few
-/// loads and arithmetic ops): runs the loop directly — with the lambda
-/// fully inlinable, no std::function indirection — whenever the pool is
-/// null/degenerate or the range is below `min_parallel`, and dispatches
-/// to the pool otherwise. Callers must already satisfy the ParallelFor
-/// determinism contract (disjoint index-addressed writes), so taking
-/// the serial path never changes results.
+/// Runs `fn(i)` for every i in [begin, end) and returns once all
+/// iterations completed; `fn` must tolerate concurrent calls on distinct
+/// indices. A null or single-thread pool, or a range shorter than
+/// `grain`, runs the loop inline on the caller with `fn` called directly;
+/// otherwise the pool's workers share it. `grain` is the fewest
+/// iterations worth the dispatch round trip (queue lock, wakeups,
+/// completion wait), so each call site states it from its own
+/// per-iteration cost: 1 for whole tasks (a shard, a component fit).
+/// Not reentrant: `fn` must not run a ParallelFor on the same pool.
 template <typename Fn>
-inline void ParallelForInlinable(ThreadPool* pool, std::size_t begin,
-                                 std::size_t end, std::size_t min_parallel,
-                                 Fn&& fn) {
-  if (pool == nullptr || pool->NumThreads() <= 1 ||
-      end - begin < min_parallel) {
+void ParallelFor(ThreadPool* pool, std::size_t begin, std::size_t end,
+                 std::size_t grain, Fn&& fn) {
+  if (begin >= end) return;
+  if (pool == nullptr || pool->workers_.empty() || end - begin < grain) {
     for (std::size_t i = begin; i < end; ++i) fn(i);
     return;
   }
-  pool->ParallelFor(begin, end, fn);
+  pool->Dispatch(begin, end, std::function<void(std::size_t)>(std::ref(fn)));
 }
 
 }  // namespace logr

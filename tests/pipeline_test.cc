@@ -3,6 +3,7 @@
 // serial ones, the registry must cover every built-in method, and a
 // backend registered at runtime must work end to end.
 #include <atomic>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -51,12 +52,20 @@ QueryLog GroupedLog(std::size_t groups, std::size_t per_group,
 
 TEST(ThreadPoolTest, ParallelForCoversEveryIndexExactlyOnce) {
   ThreadPool pool(4);
-  for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
-    std::vector<std::atomic<int>> hits(n);
-    for (auto& h : hits) h.store(0);
-    pool.ParallelFor(0, n, [&](std::size_t i) { hits[i].fetch_add(1); });
-    for (std::size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " n=" << n;
+  for (std::size_t grain : {1u, 64u}) {
+    for (std::size_t n : {0u, 1u, 7u, 64u, 1000u}) {
+      std::vector<std::atomic<int>> hits(n);
+      for (auto& h : hits) h.store(0);
+      const std::size_t jobs_before = pool.JobsDispatched();
+      ParallelFor(&pool, 0, n, grain,
+                  [&](std::size_t i) { hits[i].fetch_add(1); });
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(hits[i].load(), 1) << "i=" << i << " n=" << n;
+      }
+      // Only a non-empty range of at least `grain` reaches the workers.
+      const std::size_t expected = (n > 0 && n >= grain) ? 1 : 0;
+      EXPECT_EQ(pool.JobsDispatched() - jobs_before, expected)
+          << "n=" << n << " grain=" << grain;
     }
   }
 }
@@ -66,27 +75,52 @@ TEST(ThreadPoolTest, DegeneratePoolRunsInline) {
   EXPECT_EQ(pool.NumThreads(), 1u);
   int sum = 0;
   // Non-atomic accumulator is safe: a 1-thread pool runs on the caller.
-  pool.ParallelFor(0, 10, [&](std::size_t i) { sum += static_cast<int>(i); });
+  ParallelFor(&pool, 0, 10, /*grain=*/1,
+              [&](std::size_t i) { sum += static_cast<int>(i); });
   EXPECT_EQ(sum, 45);
+  EXPECT_EQ(pool.JobsDispatched(), 0u);
+  ParallelFor(nullptr, 0, 10, /*grain=*/1,
+              [&](std::size_t i) { sum += static_cast<int>(i); });
+  EXPECT_EQ(sum, 90);
+}
+
+TEST(ThreadPoolTest, RethrowsTheFirstExceptionOnTheCaller) {
+  ThreadPool pool(4);
+  auto throw_at_500 = [](std::size_t i) {
+    if (i == 500) throw std::runtime_error("boom");
+  };
+  EXPECT_THROW(ParallelFor(&pool, 0, 1000, /*grain=*/1, throw_at_500),
+               std::runtime_error);
+  EXPECT_EQ(pool.JobsDispatched(), 1u);
+  // The pool stays usable after a failed loop.
+  std::atomic<int> ran{0};
+  ParallelFor(&pool, 0, 100, /*grain=*/1,
+              [&](std::size_t) { ran.fetch_add(1); });
+  EXPECT_EQ(ran.load(), 100);
 }
 
 TEST(DistanceMatrixTest, ParallelBitIdenticalToSerial) {
   Pcg32 rng(101);
   const std::size_t n = 40;
-  std::vector<FeatureVec> vecs = RandomVectors(120, n, &rng);
-  for (Metric metric :
-       {Metric::kEuclidean, Metric::kManhattan, Metric::kHamming}) {
-    DistanceSpec spec;
-    spec.metric = metric;
-    Matrix serial = DistanceMatrix(vecs, n, spec, /*pool=*/nullptr);
-    ThreadPool pool(5);
-    Matrix parallel = DistanceMatrix(vecs, n, spec, &pool);
-    for (std::size_t i = 0; i < vecs.size(); ++i) {
-      for (std::size_t j = 0; j < vecs.size(); ++j) {
-        // Exact equality: the parallel schedule must not change a bit.
-        EXPECT_EQ(serial(i, j), parallel(i, j))
-            << "metric=" << static_cast<int>(metric) << " (" << i << ","
-            << j << ")";
+  // 120 vectors are one tile and stay on the caller; 400 are ten tiles,
+  // above the parallel cutoff, so the pool must really dispatch them.
+  for (std::size_t count : {120u, 400u}) {
+    std::vector<FeatureVec> vecs = RandomVectors(count, n, &rng);
+    for (Metric metric :
+         {Metric::kEuclidean, Metric::kManhattan, Metric::kHamming}) {
+      DistanceSpec spec;
+      spec.metric = metric;
+      Matrix serial = DistanceMatrix(vecs, n, spec, /*pool=*/nullptr);
+      ThreadPool pool(5);
+      Matrix parallel = DistanceMatrix(vecs, n, spec, &pool);
+      EXPECT_EQ(pool.JobsDispatched(), count > 128 ? 1u : 0u) << count;
+      for (std::size_t i = 0; i < vecs.size(); ++i) {
+        for (std::size_t j = 0; j < vecs.size(); ++j) {
+          // Exact equality: the parallel schedule must not change a bit.
+          ASSERT_EQ(serial(i, j), parallel(i, j))
+              << "metric=" << static_cast<int>(metric) << " (" << i << ","
+              << j << ") count=" << count;
+        }
       }
     }
   }

@@ -1,4 +1,5 @@
 #include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 #include "sql/parser.h"
@@ -310,7 +311,30 @@ INSTANTIATE_TEST_SUITE_P(
         "SELECT a || '-' || b FROM t WHERE c LIKE 'x%' ESCAPE '!'",
         "SELECT -x + 3 * (y - 2) FROM t WHERE a >= ? AND b <= ?",
         "SELECT upper(name) FROM suggested_contacts WHERE chat_id != ? "
-        "ORDER BY upper(name) LIMIT 10"));
+        "ORDER BY upper(name) LIMIT 10",
+        "SELECT a - (b - c) FROM t",
+        "SELECT a / (b * c) FROM t",
+        "SELECT a FROM t WHERE x = (y = 1)"));
+
+// Brackets that change the tree survive printing: an equal-precedence
+// right operand and a comparison nested in a comparison. Flat AND/OR
+// chains and left-associative runs still print without them.
+TEST(PrinterTest, KeepsBracketsTheParserNeeds) {
+  const std::pair<const char*, const char*> cases[] = {
+      {"SELECT a - (b - c) FROM t", "SELECT a - (b - c) FROM t"},
+      {"SELECT a / (b * c) FROM t", "SELECT a / (b * c) FROM t"},
+      {"SELECT a FROM t WHERE x = (y = 1)",
+       "SELECT a FROM t WHERE x = (y = 1)"},
+      {"SELECT a FROM t WHERE (x = y) = 1",
+       "SELECT a FROM t WHERE (x = y) = 1"},
+      {"SELECT (a - b) - c FROM t", "SELECT a - b - c FROM t"},
+      {"SELECT a FROM t WHERE p = 1 AND (q = 2 AND r = 3)",
+       "SELECT a FROM t WHERE p = 1 AND q = 2 AND r = 3"},
+  };
+  for (const auto& [sql, expected] : cases) {
+    EXPECT_EQ(PrintStatement(*ParseOk(sql)), expected) << sql;
+  }
+}
 
 }  // namespace
 }  // namespace logr::sql

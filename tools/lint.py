@@ -28,6 +28,13 @@ earlier PRs paid for and that a grep can keep honest:
                         LOGR_<DIR>_<NAME>_H_ include guard derived from
                         its path (no #pragma once, no stale guard after
                         a file move).
+  6. one-parallel-for   In src/, std::thread, std::async and
+                        #pragma omp appear only in util/thread_pool.h
+                        (the pool behind the one ParallelFor) and
+                        serve/ (the daemon's connection threads): every
+                        data-parallel loop goes through ParallelFor, so
+                        its grain, determinism contract and dispatch
+                        counter cover all of them.
 
 Usage: tools/lint.py [--root DIR] [FILES...]
 With FILES, only those are checked (CI's changed-files mode); otherwise
@@ -186,6 +193,24 @@ def check_avx_confinement(root, files, findings):
                 in_props = False
 
 
+THREADING = re.compile(r"std::(thread|jthread|async)\b|#\s*pragma\s+omp\b")
+THREADING_ALLOWED = re.compile(r"^src/(util/thread_pool\.h$|serve/)")
+
+
+def check_one_parallel_for(path, lines, findings):
+    if not path.startswith("src/") or THREADING_ALLOWED.search(path):
+        return
+    for i, raw in enumerate(lines, 1):
+        if THREADING.search(strip_comments_and_strings(raw)):
+            findings.append(Finding(
+                path, i, raw, "one-parallel-for",
+                "run the loop through ParallelFor(pool, begin, end, grain, "
+                "fn) from util/thread_pool.h instead of starting threads "
+                "here: it runs short ranges inline, keeps results "
+                "bit-identical for any pool size, and counts its "
+                "dispatches"))
+
+
 def expected_guard(path):
     # src/cluster/nn_chain.h -> LOGR_CLUSTER_NN_CHAIN_H_
     rel = re.sub(r"^src/", "", path)
@@ -267,6 +292,7 @@ def main():
         check_libc_rand(path, lines, findings)
         check_unordered_iteration(path, lines, findings)
         check_header_guards(path, lines, findings)
+        check_one_parallel_for(path, lines, findings)
     check_avx_confinement(root, files, findings)
 
     for f in findings:
