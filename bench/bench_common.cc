@@ -1,106 +1,16 @@
 #include "bench_common.h"
 
-#include <unistd.h>
-
 #include <cstdio>
 #include <cstdlib>
-#include <filesystem>
 #include <string>
 
-#include "workload/binary_log.h"
-
 namespace logr::bench {
-
-PocketDataOptions PocketOptions() { return PocketDataOptions(); }
 
 BankLogOptions BankOptions() {
   BankLogOptions opts;
   opts.num_templates *= EnvSize("LOGR_BANK_SCALE", 1);
   return opts;
 }
-
-namespace {
-
-// The sidecar cache keys fingerprint the options actually used (the
-// loaders build from the same PocketOptions/BankOptions), so a sidecar
-// written under different options cannot be served stale. Generator
-// *code* changes still require clearing LOGR_BINLOG_DIR.
-std::string PocketSidecarKey() {
-  const PocketDataOptions opts = PocketOptions();
-  return "pocket-s" + std::to_string(opts.seed) + "-d" +
-         std::to_string(opts.num_distinct) + "-q" +
-         std::to_string(opts.total_queries) + "-z" +
-         std::to_string(opts.zipf_s);
-}
-
-std::string BankSidecarKey() {
-  const BankLogOptions opts = BankOptions();
-  return "bank-s" + std::to_string(opts.seed) + "-t" +
-         std::to_string(opts.num_templates) + "-v" +
-         std::to_string(opts.const_variants_mean) + "-q" +
-         std::to_string(opts.total_queries) + "-n" +
-         std::to_string(opts.noise_entries) + "-z" +
-         std::to_string(opts.zipf_s);
-}
-
-/// Serves `key` from the binary sidecar cache: the first run generates
-/// the log through the text funnel, persists it, and reloads it from
-/// the binary file; later runs mmap the sidecar and never parse SQL.
-/// Any sidecar problem falls back to the text path with a note.
-QueryLog LoadViaBinarySidecar(const std::string& key, LogLoader (*make)()) {
-  const char* dir_env = std::getenv("LOGR_BINLOG_DIR");
-  const std::string dir = (dir_env != nullptr && *dir_env != '\0')
-                              ? dir_env
-                              : "/tmp/logr-binlog";
-  const std::string path = dir + "/" + key + ".logrl";
-  std::string error;
-
-  MmapQueryLog cached;
-  if (MmapQueryLog::Open(path, &cached, &error)) {
-    std::fprintf(stderr, "[binlog] %s: %s sidecar %s\n", key.c_str(),
-                 cached.mapped() ? "mmap'd" : "read", path.c_str());
-    return cached.Materialize();
-  }
-
-  LogLoader loader = make();
-  // Write-to-temp + rename so a concurrent or killed bench run never
-  // leaves a half-written file at the final path (the checksum would
-  // catch it, but the cache would then thrash forever).
-  const std::string tmp_path =
-      path + ".tmp." + std::to_string(::getpid());
-  std::error_code ec;
-  std::filesystem::create_directories(dir, ec);
-  if (ec || !loader.WriteBinary(tmp_path, key, &error)) {
-    std::fprintf(stderr, "[binlog] %s: cannot write sidecar %s (%s); "
-                 "using the text path\n",
-                 key.c_str(), tmp_path.c_str(),
-                 ec ? ec.message().c_str() : error.c_str());
-    std::filesystem::remove(tmp_path, ec);  // drop any partial file
-    return loader.TakeLog();
-  }
-  std::filesystem::rename(tmp_path, path, ec);
-  if (ec) {
-    std::fprintf(stderr, "[binlog] %s: cannot rename sidecar into place "
-                 "(%s); using the text path\n",
-                 key.c_str(), ec.message().c_str());
-    std::filesystem::remove(tmp_path, ec);
-    return loader.TakeLog();
-  }
-  std::fprintf(stderr, "[binlog] %s: wrote sidecar %s\n", key.c_str(),
-               path.c_str());
-  // Serve even the first run from the file so every run reads the
-  // identical bytes through the identical path.
-  MmapQueryLog fresh;
-  if (!MmapQueryLog::Open(path, &fresh, &error)) {
-    std::fprintf(stderr, "[binlog] %s: reload failed (%s); using the text "
-                 "path\n",
-                 key.c_str(), error.c_str());
-    return loader.TakeLog();
-  }
-  return fresh.Materialize();
-}
-
-}  // namespace
 
 std::size_t EnvSize(const char* name, std::size_t fallback) {
   const char* v = std::getenv(name);
@@ -128,22 +38,16 @@ void Banner(const std::string& artifact, const std::string& description) {
 }
 
 LogLoader LoadPocketLoader() {
-  return LoadEntries(GeneratePocketDataLog(PocketOptions()));
+  return LoadEntries(GeneratePocketDataLog(PocketDataOptions()));
 }
 
 LogLoader LoadBankLoader() {
   return LoadEntries(GenerateBankLog(BankOptions()));
 }
 
-QueryLog LoadPocketLog() {
-  if (!BinaryLogEnvEnabled()) return LoadPocketLoader().TakeLog();
-  return LoadViaBinarySidecar(PocketSidecarKey(), &LoadPocketLoader);
-}
+QueryLog LoadPocketLog() { return LoadPocketLoader().TakeLog(); }
 
-QueryLog LoadBankLog() {
-  if (!BinaryLogEnvEnabled()) return LoadBankLoader().TakeLog();
-  return LoadViaBinarySidecar(BankSidecarKey(), &LoadBankLoader);
-}
+QueryLog LoadBankLog() { return LoadBankLoader().TakeLog(); }
 
 namespace {
 

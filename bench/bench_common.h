@@ -9,11 +9,6 @@
 //   LOGR_ROWS        rows for the Income dataset
 //   LOGR_METHOD      clustering method for single-method benches
 //                    (ParseClusteringMethod names, e.g. "hierarchical")
-//   LOGR_BINLOG      when set (non-empty, not "0"), LoadBankLog /
-//                    LoadPocketLog cache the generated log as a binary
-//                    .logrl sidecar under LOGR_BINLOG_DIR (default
-//                    /tmp/logr-binlog) and mmap it on later runs, so
-//                    every bench skips the SQL parse stage
 #ifndef LOGR_BENCH_BENCH_COMMON_H_
 #define LOGR_BENCH_BENCH_COMMON_H_
 
@@ -41,10 +36,9 @@ ClusteringMethod EnvMethod(const char* name, ClusteringMethod fallback);
 /// Prints the bench banner with the paper artifact it reproduces.
 void Banner(const std::string& artifact, const std::string& description);
 
-/// The generator options every bench-shared log is built from (env
-/// overrides applied) — the single source for loaders, sidecar cache
-/// keys, and benches that need the raw entries at matching scale.
-PocketDataOptions PocketOptions();
+/// The bank generator options every bench-shared bank log is built
+/// from (LOGR_BANK_SCALE applied) — for benches that need the raw
+/// entries at matching scale.
 BankLogOptions BankOptions();
 
 /// The PocketData-like log (full 605-template scale; cheap to build).

@@ -33,7 +33,7 @@
 //                       SHARD.logrl...|SHARD_DIR
 //       Scatter/gather compression over worker processes: each .logrl
 //       shard (listed explicitly or enumerated from a directory) is
-//       compressed by a separate worker process that mmap-reads it
+//       compressed by a forked worker process that mmap-reads it
 //       zero-copy and spools a summary into --spool; the coordinator
 //       retries crashed or hung workers (--retries per shard, --timeout
 //       watchdog), reuses valid spooled summaries on re-run (resume),
@@ -90,7 +90,6 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "serve/client.h"
-#include "util/subprocess.h"
 #include "workload/binary_log.h"
 #include "workload/loader.h"
 #include "workload/predicate.h"
@@ -590,11 +589,6 @@ int RunDistribute(int argc, char** argv) {
     for (std::string& p : listed) shard_paths.push_back(std::move(p));
   }
 
-  // Workers re-exec this binary in the hidden `worker` mode.
-  std::string self = CurrentExecutablePath();
-  if (self.empty()) self = argv[0];
-  opts.worker_command = {self};
-
   DistributedResult result;
   std::string error;
   if (!CompressDistributed(shard_paths, opts, &result, &error)) {
@@ -624,24 +618,6 @@ int RunDistribute(int argc, char** argv) {
     return 1;
   }
   std::printf("wrote %s\n", out_path.c_str());
-  return 0;
-}
-
-/// Hidden subcommand: one scatter worker (spawned by `distribute`,
-/// never typed by hand — absent from Usage() on purpose).
-int RunWorker(int argc, char** argv) {
-  std::vector<std::string> args;
-  for (int i = 2; i < argc; ++i) args.push_back(argv[i]);
-  DistributedWorkerOptions opts;
-  std::string error;
-  if (!ParseWorkerArgv(args, &opts, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 2;
-  }
-  if (!RunDistributedWorker(opts, &error)) {
-    std::fprintf(stderr, "%s\n", error.c_str());
-    return 1;
-  }
   return 0;
 }
 
@@ -800,7 +776,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "distribute") == 0) {
     return RunDistribute(argc, argv);
   }
-  if (std::strcmp(argv[1], "worker") == 0) return RunWorker(argc, argv);
   if (std::strcmp(argv[1], "merge") == 0) return RunMerge(argc, argv);
   if (std::strcmp(argv[1], "info") == 0) return RunInfo(argc, argv);
   if (std::strcmp(argv[1], "estimate") == 0) return RunEstimate(argc, argv);

@@ -1,28 +1,21 @@
 #include "core/distributed.h"
 
-#include <algorithm>
+#include <signal.h>
+#include <sys/stat.h>
+
 #include <cerrno>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <set>
 #include <thread>
 #include <utility>
 
 #include "cluster/clusterer.h"
 #include "core/sharded.h"
-#include "util/check.h"
 #include "util/stopwatch.h"
 #include "util/subprocess.h"
 #include "workload/binary_log.h"
-
-#if !defined(_WIN32)
-#include <signal.h>
-#include <sys/stat.h>
-#include <sys/types.h>
-#include <unistd.h>
-#endif
 
 namespace logr {
 
@@ -45,27 +38,12 @@ void MaybeCrashForTest(std::size_t shard_index, int attempt) {
   const long v = std::strtol(env, &end, 10);
   if (end == env || *end != '\0') return;
   if (v != static_cast<long>(shard_index)) return;
-#if !defined(_WIN32)
   ::raise(SIGKILL);
-#else
-  std::abort();
-#endif
 }
 
 std::string Basename(const std::string& path) {
   const std::size_t slash = path.find_last_of('/');
   return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-/// Unsigned decimal parse used by the worker argv round-trip.
-bool ParseUnsigned(const std::string& text, std::uint64_t* out) {
-  if (text.empty()) return false;
-  char* end = nullptr;
-  errno = 0;
-  const unsigned long long v = std::strtoull(text.c_str(), &end, 10);
-  if (errno == ERANGE || end == text.c_str() || *end != '\0') return false;
-  *out = v;
-  return true;
 }
 
 }  // namespace
@@ -101,7 +79,6 @@ bool WriteShardFiles(const LogView& log, std::size_t num_shards,
 }
 
 bool EnsureDirectory(const std::string& dir, std::string* error) {
-#if !defined(_WIN32)
   std::string partial;
   std::size_t pos = 0;
   while (pos <= dir.size()) {
@@ -112,67 +89,6 @@ bool EnsureDirectory(const std::string& dir, std::string* error) {
     if (::mkdir(partial.c_str(), 0755) != 0 && errno != EEXIST) {
       return Fail(error, "cannot create directory " + partial);
     }
-  }
-  return true;
-#else
-  (void)dir;
-  return Fail(error, "directory creation needs a POSIX filesystem");
-#endif
-}
-
-std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts) {
-  const LogROptions& c = opts.compression;
-  return {
-      "--shard",       opts.shard_path,
-      "--out",         opts.out_path,
-      "--clusters",    std::to_string(c.num_clusters),
-      "--shards",      std::to_string(c.num_shards),
-      "--method",      BackendName(c),
-      "--seed",        std::to_string(c.seed),
-      "--n-init",      std::to_string(c.n_init),
-      "--shard-index", std::to_string(opts.shard_index),
-      "--attempt",     std::to_string(opts.attempt),
-  };
-}
-
-bool ParseWorkerArgv(const std::vector<std::string>& args,
-                     DistributedWorkerOptions* opts, std::string* error) {
-  *opts = DistributedWorkerOptions();
-  LogROptions& c = opts->compression;
-  for (std::size_t i = 0; i < args.size(); ++i) {
-    const std::string& arg = args[i];
-    if (i + 1 >= args.size()) {
-      return Fail(error, "worker flag " + arg + " needs a value");
-    }
-    const std::string& value = args[++i];
-    std::uint64_t parsed = 0;
-    if (arg == "--shard") {
-      opts->shard_path = value;
-    } else if (arg == "--out") {
-      opts->out_path = value;
-    } else if (arg == "--method" && !value.empty()) {
-      c.backend = ParseClusteringMethod(value, &c.method) ? "" : value;
-    } else if (arg == "--clusters" && ParseUnsigned(value, &parsed) &&
-               parsed >= 1) {
-      c.num_clusters = static_cast<std::size_t>(parsed);
-    } else if (arg == "--shards" && ParseUnsigned(value, &parsed) &&
-               parsed >= 1) {
-      c.num_shards = static_cast<std::size_t>(parsed);
-    } else if (arg == "--seed" && ParseUnsigned(value, &parsed)) {
-      c.seed = parsed;
-    } else if (arg == "--n-init" && ParseUnsigned(value, &parsed) &&
-               parsed >= 1) {
-      c.n_init = static_cast<int>(parsed);
-    } else if (arg == "--shard-index" && ParseUnsigned(value, &parsed)) {
-      opts->shard_index = static_cast<std::size_t>(parsed);
-    } else if (arg == "--attempt" && ParseUnsigned(value, &parsed)) {
-      opts->attempt = static_cast<int>(parsed);
-    } else {
-      return Fail(error, "bad worker flag or value: " + arg + " " + value);
-    }
-  }
-  if (opts->shard_path.empty() || opts->out_path.empty()) {
-    return Fail(error, "worker needs --shard and --out");
   }
   return true;
 }
@@ -227,9 +143,6 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
   if (n == 0) return Fail(error, "no shard files to scatter");
   if (opts_.spool_dir.empty()) return Fail(error, "spool_dir is required");
   if (opts_.num_workers == 0) return Fail(error, "num_workers must be >= 1");
-  if (!opts_.worker_command.empty() && !SubprocessSupported()) {
-    return Fail(error, "worker processes are unsupported on this platform");
-  }
   if (!EnsureDirectory(opts_.spool_dir, error)) return false;
 
   out->shards.resize(n);
@@ -283,24 +196,16 @@ bool DistributedCompressor::Run(DistributedResult* out, std::string* error) {
     const DistributedWorkerOptions w = worker_opts(s);
     ++out->shards[s].attempts;
     ++out->workers_launched;
-    long pid = -1;
     std::string spawn_error;
-    if (!opts_.worker_command.empty()) {
-      std::vector<std::string> argv = opts_.worker_command;
-      argv.push_back("worker");
-      for (std::string& flag : WorkerArgv(w)) argv.push_back(std::move(flag));
-      pid = SpawnProcess(argv, &spawn_error);
-    } else {
-      pid = ForkProcess(
-          [w]() -> int {
-            std::string worker_error;
-            if (RunDistributedWorker(w, &worker_error)) return 0;
-            std::fprintf(stderr, "worker (shard %zu): %s\n", w.shard_index,
-                         worker_error.c_str());
-            return 1;
-          },
-          &spawn_error);
-    }
+    const long pid = ForkProcess(
+        [w]() -> int {
+          std::string worker_error;
+          if (RunDistributedWorker(w, &worker_error)) return 0;
+          std::fprintf(stderr, "worker (shard %zu): %s\n", w.shard_index,
+                       worker_error.c_str());
+          return 1;
+        },
+        &spawn_error);
     if (pid < 0) return Fail(error, spawn_error);
     state[s] = State::kRunning;
     running.push_back({s, pid, timer.ElapsedSeconds()});

@@ -9,7 +9,7 @@
 //
 //   coordinator                    workers (≤ num_workers at once)
 //   ───────────                    ────────────────────────────────
-//   scatter: spawn per shard  ──►  mmap-open the shard and run
+//   scatter: fork per shard   ──►  mmap-open the shard and run
 //                                  ShardedCompressor::FitShard on it
 //                                  zero-copy, write
 //                                  spool/<shard>.summary atomically
@@ -30,11 +30,9 @@
 //
 // Workers are processes, not threads, for fault isolation: a worker
 // that crashes, hangs, or is OOM-killed loses one shard attempt, never
-// the job. Two spawn modes exist — exec mode (worker_command names a
-// binary re-invoked as `... worker <flags>`, the CLI's arrangement) and
-// fork mode (empty worker_command; the child runs RunDistributedWorker
-// directly, which tests and benches use to avoid depending on an
-// installed binary). Forked children never touch the parent's thread
+// the job. Each worker is a fork of the coordinator that runs
+// RunDistributedWorker directly, so a clusterer registered at runtime
+// reaches every worker. Forked children never touch the parent's thread
 // pools (pthreads do not survive fork): FitShard always runs on a
 // serial pool, so the distributed result is bit-deterministic for any
 // worker count.
@@ -72,10 +70,6 @@ struct DistributedOptions {
   /// Re-running a coordinator over a warm spool reuses every valid
   /// summary already present (the resume path).
   std::string spool_dir;
-  /// Exec-mode worker argv prefix, e.g. {"/path/to/logr_cli"}: shard
-  /// workers run `<prefix...> worker <flags>`. Empty selects fork mode
-  /// (the child calls RunDistributedWorker in-process).
-  std::vector<std::string> worker_command;
   /// Retries per shard after its first failed attempt.
   int max_retries = 2;
   /// Wall-clock budget per worker attempt; a worker past it is killed
@@ -112,15 +106,13 @@ struct DistributedResult {
 /// What one worker does: mmap-open `shard_path` (.logrl), run
 /// ShardedCompressor::FitShard on it zero-copy, and atomically write
 /// the v2 summary to `out_path`. The coordinator builds these from
-/// DistributedOptions; the CLI's hidden `worker` subcommand parses them
-/// back off argv (see WorkerArgv / ParseWorkerArgv).
+/// DistributedOptions.
 struct DistributedWorkerOptions {
   std::string shard_path;
   std::string out_path;
   /// The job's options as FitShard reads them: num_clusters (the job's
   /// final K), num_shards (the job's shard count — with num_clusters it
-  /// fixes the per-shard K), method/backend, seed and n_init. The argv
-  /// wire format carries exactly these fields.
+  /// fixes the per-shard K), method/backend, seed and n_init.
   LogROptions compression;
   /// Position of the shard in the coordinator's scatter order — only
   /// consulted by the kDistributedCrashEnv fault injection.
@@ -130,20 +122,8 @@ struct DistributedWorkerOptions {
   int attempt = 0;
 };
 
-/// The worker flag list for `opts` (no argv0 / subcommand): the wire
-/// format between coordinator and exec-mode workers.
-std::vector<std::string> WorkerArgv(const DistributedWorkerOptions& opts);
-
-/// Parses what WorkerArgv produced. Returns false (and fills `error`)
-/// on unknown flags, malformed values, or missing required ones
-/// (--shard, --out). A --method that is not a ClusteringMethodName is
-/// taken as a ClustererRegistry backend name; RunDistributedWorker
-/// rejects unregistered ones.
-bool ParseWorkerArgv(const std::vector<std::string>& args,
-                     DistributedWorkerOptions* opts, std::string* error);
-
-/// Worker entry point, shared by the CLI `worker` subcommand, fork-mode
-/// children, and the coordinator's in-process fallback: fit the shard
+/// Worker entry point, shared by the forked workers and the
+/// coordinator's in-process fallback: fit the shard
 /// (ShardedCompressor::FitShard — serial pool, so fork-safe) and spool
 /// the summary. Returns false (and fills `error`) on any I/O or
 /// validation failure.

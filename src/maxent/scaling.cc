@@ -1,7 +1,6 @@
 #include "maxent/scaling.h"
 
 #include <cmath>
-#include <limits>
 
 #include "maxent/entropy.h"
 #include "util/check.h"
@@ -82,15 +81,6 @@ double MaxEntModel::EntropyNats() const {
     h += ps * space_->LogClassSize(static_cast<std::uint32_t>(s));
   }
   return h;
-}
-
-double MaxEntModel::LogProbabilityOf(const FeatureVec& q) const {
-  std::uint32_t s = space_->SignatureOf(q);
-  double ps = class_prob_[s];
-  if (ps <= 0.0 || space_->ClassFraction(s) <= 0.0) {
-    return -std::numeric_limits<double>::infinity();
-  }
-  return std::log(ps) - space_->LogClassSize(s);
 }
 
 double MaxEntModel::MarginalOf(const FeatureVec& b) const {

@@ -32,8 +32,7 @@ class MaxEntModel {
   bool converged() const { return converged_; }
   int iterations() const { return iterations_; }
 
-  /// Probability mass assigned to signature class s.
-  double ClassProbability(std::uint32_t s) const { return class_prob_[s]; }
+  /// Probability mass assigned to each signature class.
   const std::vector<double>& class_probabilities() const {
     return class_prob_;
   }
@@ -41,10 +40,6 @@ class MaxEntModel {
   /// Entropy (nats) of the model over the full 2^n space:
   /// H = -Σ_S P_S ln(P_S / |S|).
   double EntropyNats() const;
-
-  /// Model probability of one concrete vector q: P_sig(q) / |class|.
-  /// Returned in log-space (natural log); -inf when the class is empty.
-  double LogProbabilityOf(const FeatureVec& q) const;
 
   /// Model marginal p(Q ⊇ b) of an arbitrary pattern.
   double MarginalOf(const FeatureVec& b) const;

@@ -35,20 +35,6 @@ ExprPtr MakeParameter() {
   return std::make_unique<Expr>(ExprKind::kParameter);
 }
 
-ExprPtr MakeIntLiteral(long long v) {
-  auto e = std::make_unique<Expr>(ExprKind::kLiteral);
-  e->literal_kind = LiteralKind::kInteger;
-  e->literal_text = std::to_string(v);
-  return e;
-}
-
-ExprPtr MakeStringLiteral(std::string v) {
-  auto e = std::make_unique<Expr>(ExprKind::kLiteral);
-  e->literal_kind = LiteralKind::kString;
-  e->literal_text = std::move(v);
-  return e;
-}
-
 ExprPtr MakeNullLiteral() {
   auto e = std::make_unique<Expr>(ExprKind::kLiteral);
   e->literal_kind = LiteralKind::kNull;

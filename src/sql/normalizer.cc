@@ -383,10 +383,6 @@ ExprPtr NormalizeBooleanExpr(ExprPtr e) {
   return NormalizeNeg(std::move(e), /*negate=*/false);
 }
 
-bool ExprEquals(const Expr& a, const Expr& b) {
-  return PrintExpr(a) == PrintExpr(b);
-}
-
 StatementPtr Regularize(StatementPtr stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info) {
   // Conjunctive-ness is a property of the original query, judged before

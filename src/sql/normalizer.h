@@ -73,9 +73,6 @@ StatementPtr Regularize(StatementPtr stmt, const RegularizeOptions& opts,
 StatementPtr Regularize(const Statement& stmt, const RegularizeOptions& opts,
                         RegularizeInfo* info);
 
-/// Structural equality via canonical printing.
-bool ExprEquals(const Expr& a, const Expr& b);
-
 }  // namespace logr::sql
 
 #endif  // LOGR_SQL_NORMALIZER_H_

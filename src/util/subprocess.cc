@@ -1,46 +1,14 @@
 #include "util/subprocess.h"
 
-#include <cerrno>
-#include <cstring>
-
-#if !defined(_WIN32)
-#define LOGR_HAS_SUBPROCESS 1
 #include <signal.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
-#endif
+
+#include <cerrno>
+#include <cstring>
 
 namespace logr {
-
-#if defined(LOGR_HAS_SUBPROCESS)
-
-bool SubprocessSupported() { return true; }
-
-long SpawnProcess(const std::vector<std::string>& argv, std::string* error) {
-  if (argv.empty()) {
-    if (error) *error = "SpawnProcess: empty argv";
-    return -1;
-  }
-  std::vector<char*> cargv;
-  cargv.reserve(argv.size() + 1);
-  for (const std::string& a : argv) {
-    cargv.push_back(const_cast<char*>(a.c_str()));
-  }
-  cargv.push_back(nullptr);
-  const pid_t pid = ::fork();
-  if (pid < 0) {
-    if (error) *error = std::string("fork: ") + std::strerror(errno);
-    return -1;
-  }
-  if (pid == 0) {
-    ::execv(cargv[0], cargv.data());
-    // exec failed: exit through _exit so no parent-owned atexit handlers
-    // or stream flushes run twice. 127 mirrors the shell convention.
-    ::_exit(127);
-  }
-  return static_cast<long>(pid);
-}
 
 long ForkProcess(const std::function<int()>& child_main, std::string* error) {
   const pid_t pid = ::fork();
@@ -93,34 +61,5 @@ void KillProcess(long pid) {
   ProcessStatus ignored;
   WaitProcess(pid, &ignored);
 }
-
-std::string CurrentExecutablePath() {
-  char buf[4096];
-  const ssize_t n = ::readlink("/proc/self/exe", buf, sizeof(buf) - 1);
-  if (n <= 0) return "";
-  buf[n] = '\0';
-  return std::string(buf);
-}
-
-#else  // !LOGR_HAS_SUBPROCESS
-
-bool SubprocessSupported() { return false; }
-
-long SpawnProcess(const std::vector<std::string>&, std::string* error) {
-  if (error) *error = "subprocesses are not supported on this platform";
-  return -1;
-}
-
-long ForkProcess(const std::function<int()>&, std::string* error) {
-  if (error) *error = "subprocesses are not supported on this platform";
-  return -1;
-}
-
-bool TryWaitProcess(long, ProcessStatus*) { return false; }
-bool WaitProcess(long, ProcessStatus*) { return false; }
-void KillProcess(long) {}
-std::string CurrentExecutablePath() { return ""; }
-
-#endif  // LOGR_HAS_SUBPROCESS
 
 }  // namespace logr

@@ -1,17 +1,13 @@
 // Minimal POSIX process helpers for the distributed coordinator
-// (core/distributed.h): spawn a worker (fork+exec of an argv, or a
-// plain fork running a callable), poll or wait for its exit, and kill
-// stragglers. Everything here is wait()-reap-safe: every spawned pid is
-// reaped exactly once, by TryWait, WaitProcess, or KillProcess.
-//
-// Non-POSIX builds compile but every spawn fails loudly with an error
-// string, so callers degrade to their in-process fallback paths.
+// (core/distributed.h): fork a worker running a callable, poll or wait
+// for its exit, and kill stragglers. Everything here is
+// wait()-reap-safe: every forked pid is reaped exactly once, by
+// TryWait, WaitProcess, or KillProcess.
 #ifndef LOGR_UTIL_SUBPROCESS_H_
 #define LOGR_UTIL_SUBPROCESS_H_
 
 #include <functional>
 #include <string>
-#include <vector>
 
 namespace logr {
 
@@ -24,15 +20,6 @@ struct ProcessStatus {
 
   bool Success() const { return exited && exit_code == 0; }
 };
-
-/// True when this platform can fork/exec (POSIX). When false, SpawnProcess
-/// and ForkProcess always fail.
-bool SubprocessSupported();
-
-/// fork+execv of `argv` (argv[0] is the binary path; PATH is not
-/// searched). Returns the child pid, or -1 with `error` filled. The
-/// child inherits the parent's environment and stdio.
-long SpawnProcess(const std::vector<std::string>& argv, std::string* error);
 
 /// Plain fork: the child runs `child_main` and _exit()s with its return
 /// value, never returning to the caller's code. The child must not touch
@@ -52,11 +39,6 @@ bool WaitProcess(long pid, ProcessStatus* status);
 /// SIGKILLs `pid` and reaps it (blocking). Safe on already-dead pids
 /// that have not been reaped yet.
 void KillProcess(long pid);
-
-/// Absolute path of the running executable (/proc/self/exe), or "" when
-/// the platform cannot tell. The CLI uses it so `distribute` can re-exec
-/// itself as workers without trusting argv[0].
-std::string CurrentExecutablePath();
 
 }  // namespace logr
 

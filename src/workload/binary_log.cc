@@ -287,8 +287,7 @@ void MmapQueryLog::Reset() {
   summary_ = DatasetSummary();
 }
 
-bool MmapQueryLog::Parse(const BinaryLogReadOptions& options,
-                         std::string* error) {
+bool MmapQueryLog::Parse(std::string* error) {
   if (!HostIsLittleEndian()) {
     return Fail(error, "big-endian hosts are not supported by logr-log v1");
   }
@@ -316,12 +315,10 @@ bool MmapQueryLog::Parse(const BinaryLogReadOptions& options,
                            "over-long file");
   }
   const std::uint64_t checksum = LoadU64(base_ + kBinaryLogChecksumOffset);
-  if (options.verify_checksum) {
-    const std::uint64_t actual = BinaryLogChecksum(
-        base_ + kBinaryLogHeaderSize, size_ - kBinaryLogHeaderSize);
-    if (actual != checksum) {
-      return Fail(error, "payload checksum mismatch (file is corrupt)");
-    }
+  const std::uint64_t actual = BinaryLogChecksum(
+      base_ + kBinaryLogHeaderSize, size_ - kBinaryLogHeaderSize);
+  if (actual != checksum) {
+    return Fail(error, "payload checksum mismatch (file is corrupt)");
   }
 
   const std::uint64_t n = LoadU64(base_ + 32);
@@ -545,7 +542,7 @@ bool MmapQueryLog::Open(const std::string& path,
       out->map_size_ = size;
       out->base_ = static_cast<const char*>(map);
       out->size_ = size;
-      if (!out->Parse(options, error)) {
+      if (!out->Parse(error)) {
         out->Reset();
         return false;
       }
@@ -571,7 +568,7 @@ bool MmapQueryLog::Open(const std::string& path,
   out->owned_ = std::move(buffer);
   out->base_ = out->owned_.data();
   out->size_ = out->owned_.size();
-  if (!out->Parse(options, error)) {
+  if (!out->Parse(error)) {
     out->Reset();
     return false;
   }
@@ -585,7 +582,7 @@ bool MmapQueryLog::OpenBuffer(const void* data, std::size_t size,
   out->owned_.assign(p, p + size);
   out->base_ = out->owned_.data();
   out->size_ = out->owned_.size();
-  if (!out->Parse(BinaryLogReadOptions(), error)) {
+  if (!out->Parse(error)) {
     out->Reset();
     return false;
   }
@@ -707,7 +704,7 @@ bool ReadBinaryLog(const void* data, std::size_t size, LoadedBinaryLog* out,
   MmapQueryLog view;
   view.base_ = static_cast<const char*>(data);
   view.size_ = size;
-  if (!view.Parse(BinaryLogReadOptions(), error)) return false;
+  if (!view.Parse(error)) return false;
   out->log = view.Materialize();
   out->summary = view.summary();
   return true;
@@ -832,18 +829,17 @@ bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
 
 namespace {
 
-bool EnvFlagSet(const char* name) {
-  const char* env = std::getenv(name);
+/// LOGR_BINLOG_VERIFY is on when set, non-empty and not "0".
+bool VerifyRequested() {
+  const char* env = std::getenv("LOGR_BINLOG_VERIFY");
   return env != nullptr && *env != '\0' && std::string(env) != "0";
 }
 
 }  // namespace
 
-bool BinaryLogEnvEnabled() { return EnvFlagSet("LOGR_BINLOG"); }
-
 void VerifyBinaryRoundTripIfEnabled(const QueryLog& log,
                                     const DatasetSummary& summary) {
-  if (!EnvFlagSet("LOGR_BINLOG_VERIFY")) return;
+  if (!VerifyRequested()) return;
   std::ostringstream buffer;
   std::string error;
   LOGR_CHECK_MSG(BinaryLogWriter::Write(log, summary, &buffer, &error),
@@ -860,7 +856,7 @@ void VerifyBinaryRoundTripIfEnabled(const QueryLog& log,
 }
 
 void VerifyBinaryRoundTripIfEnabled(const LogLoader& loader) {
-  if (!EnvFlagSet("LOGR_BINLOG_VERIFY")) return;
+  if (!VerifyRequested()) return;
   VerifyBinaryRoundTripIfEnabled(loader.log(), loader.Summary("verify"));
 }
 

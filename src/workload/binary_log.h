@@ -85,9 +85,6 @@ class BinaryLogWriter {
 };
 
 struct BinaryLogReadOptions {
-  /// Verify the payload checksum at open. Costs one sequential pass
-  /// over the file; disable only for trusted same-process round-trips.
-  bool verify_checksum = true;
   /// Map the file instead of reading it eagerly. Ignored (treated as
   /// false) on platforms without mmap.
   bool prefer_mmap = true;
@@ -165,7 +162,7 @@ class MmapQueryLog {
                             LoadedBinaryLog* out, std::string* error);
 
   void Reset();
-  bool Parse(const BinaryLogReadOptions& options, std::string* error);
+  bool Parse(std::string* error);
 
   void* map_ = nullptr;  // mmap'd region (POSIX); null for eager opens
   std::size_t map_size_ = 0;
@@ -219,17 +216,12 @@ bool SameQueryLog(const QueryLog& a, const QueryLog& b, std::string* why);
 bool SameDatasetSummary(const DatasetSummary& a, const DatasetSummary& b,
                         std::string* why);
 
-/// True when the LOGR_BINLOG env var is set (non-empty and not "0") —
-/// the switch for the bench binary-sidecar cache.
-bool BinaryLogEnvEnabled();
-
 /// When the LOGR_BINLOG_VERIFY env var is set (non-empty and not "0"),
 /// round-trips `log` + `summary` through the binary format in memory and
 /// CHECK-fails unless the reloaded log and summary are identical; no-op
 /// otherwise. LoadEntries calls this, so CI's LOGR_BINLOG_VERIFY=1 leg
 /// proves the binary path agrees with the text path on every log the
-/// test suite loads. (Deliberately a separate knob from LOGR_BINLOG:
-/// the cache exists to remove work, the verification adds it.)
+/// test suite loads.
 void VerifyBinaryRoundTripIfEnabled(const QueryLog& log,
                                     const DatasetSummary& summary);
 

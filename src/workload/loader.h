@@ -44,12 +44,6 @@ class LogLoader {
     sql::RegularizeOptions regularize;  // anonymize_constants applies to
                                         // the *primary* (w/o const) log
     ExtractOptions extract;
-    /// Also maintain the with-constants statistics (distinct queries and
-    /// features including literal values). Costs a copy of the parse tree
-    /// plus a second regularize, print and feature walk per SELECT, about
-    /// half of AddSql's time on the bank log; disable for pure
-    /// compression workloads.
-    bool track_with_constant_stats = true;
   };
 
   LogLoader() : LogLoader(Options()) {}

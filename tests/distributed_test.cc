@@ -2,19 +2,16 @@
 // (core/distributed.h): bit-identity of the process-per-shard path with
 // in-process sharded compression and the offline summary merge on the
 // paper-shaped generators, worker crash-retry (SIGKILL mid-job loses an
-// attempt, never the job), coordinator resume from a warm spool,
-// exec-mode spawn-failure fallback, and the coordinator/worker argv
-// wire format.
+// attempt, never the job), coordinator resume from a warm spool, and
+// the in-process fallback once a shard's retries are spent.
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
 #include <string>
 #include <vector>
-
-#if !defined(_WIN32)
-#include <unistd.h>
-#endif
 
 #include "core/distributed.h"
 #include "core/logr_compressor.h"
@@ -24,7 +21,6 @@
 #include "data/pocketdata.h"
 #include "data/sql_log.h"
 #include "gtest/gtest.h"
-#include "util/subprocess.h"
 
 namespace logr {
 namespace {
@@ -45,12 +41,8 @@ QueryLog BankLog() {
 }
 
 std::string UniqueDir(const std::string& tag) {
-#if defined(_WIN32)
-  const std::string pid = "0";
-#else
-  const std::string pid = std::to_string(::getpid());
-#endif
-  return ::testing::TempDir() + "logr_dist_" + tag + "_" + pid;
+  return ::testing::TempDir() + "logr_dist_" + tag + "_" +
+         std::to_string(::getpid());
 }
 
 /// Splits `log` the way `logr_cli split` does (WriteShardFiles — the
@@ -76,14 +68,13 @@ std::string Bytes(const Vocabulary& vocab, const WorkloadModel& model) {
   return out.str();
 }
 
-DistributedOptions ForkModeOptions(std::size_t num_clusters,
+DistributedOptions JobOptions(std::size_t num_clusters,
                                    const std::string& spool_tag) {
   DistributedOptions opts;
   opts.num_workers = 2;
   opts.compression.num_clusters = num_clusters;
   opts.compression.encoder = "naive";
   opts.spool_dir = UniqueDir(spool_tag);
-  // Empty worker_command = fork mode: no installed binary needed.
   return opts;
 }
 
@@ -99,10 +90,9 @@ std::string ShardedReferenceBytes(const QueryLog& log,
 }
 
 TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "pocket_id");
-  DistributedOptions opts = ForkModeOptions(6, "pocket_id_spool");
+  DistributedOptions opts = JobOptions(6, "pocket_id_spool");
   DistributedResult result;
   std::string error;
   ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
@@ -137,10 +127,9 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitPocket) {
 }
 
 TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = BankLog();
   const std::vector<std::string> shards = WriteShards(log, 3, "bank_id");
-  DistributedOptions opts = ForkModeOptions(5, "bank_id_spool");
+  DistributedOptions opts = JobOptions(5, "bank_id_spool");
   DistributedResult result;
   std::string error;
   ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
@@ -151,7 +140,7 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
   // Option forwarding: a non-default method, seed and n_init must reach
   // every shard fit in all three legs (workers, in-process sharding,
   // offline merge of the spooled parts).
-  opts = ForkModeOptions(5, "bank_id_hier_spool");
+  opts = JobOptions(5, "bank_id_hier_spool");
   opts.compression.method = ClusteringMethod::kHierarchicalAverage;
   opts.compression.seed = 91;
   opts.compression.n_init = 2;
@@ -174,7 +163,6 @@ TEST(DistributedTest, MatchesInProcessShardingBitForBitBank) {
 }
 
 TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "crash");
 
@@ -182,14 +170,14 @@ TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
   // worker SIGKILLs itself mid-job via the fault-injection hook.
   DistributedResult clean;
   std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, ForkModeOptions(6, "crash_clean"),
+  ASSERT_TRUE(CompressDistributed(shards, JobOptions(6, "crash_clean"),
                                   &clean, &error))
       << error;
 
   ASSERT_EQ(::setenv(kDistributedCrashEnv, "2", 1), 0);
   DistributedResult crashed;
   const bool ok = CompressDistributed(
-      shards, ForkModeOptions(6, "crash_spool"), &crashed, &error);
+      shards, JobOptions(6, "crash_spool"), &crashed, &error);
   ::unsetenv(kDistributedCrashEnv);
   ASSERT_TRUE(ok) << error;
 
@@ -208,10 +196,9 @@ TEST(DistributedTest, WorkerKilledMidJobRetriesToIdenticalSummary) {
 }
 
 TEST(DistributedTest, ResumeReusesWarmSpool) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
   QueryLog log = PocketLog();
   const std::vector<std::string> shards = WriteShards(log, 4, "resume");
-  DistributedOptions opts = ForkModeOptions(6, "resume_spool");
+  DistributedOptions opts = JobOptions(6, "resume_spool");
 
   DistributedResult first;
   std::string error;
@@ -242,74 +229,41 @@ TEST(DistributedTest, ResumeReusesWarmSpool) {
   EXPECT_EQ(Bytes(cold.summary.vocabulary, *cold.summary.model), reference);
 }
 
-TEST(DistributedTest, ExecSpawnFailureFallsBackInProcess) {
-  if (!SubprocessSupported()) GTEST_SKIP() << "no subprocess support";
+TEST(DistributedTest, ExhaustedRetriesFallBackInProcess) {
   QueryLog log = PocketLog();
-  const std::vector<std::string> shards = WriteShards(log, 2, "noexec");
-  DistributedOptions opts = ForkModeOptions(4, "noexec_spool");
-  opts.worker_command = {"/nonexistent/logr_worker_binary"};
-  opts.max_retries = 1;
+  const std::vector<std::string> shards = WriteShards(log, 2, "fallback");
+  DistributedOptions opts = JobOptions(4, "fallback_spool");
+  opts.max_retries = 0;
 
-  // Every exec attempt dies (exit 127); the coordinator's last resort
-  // compresses in-process and the job still finishes with the sharded
-  // reference bytes.
+  // Shard 0's only worker attempt SIGKILLs itself and no retry is left:
+  // the coordinator's last resort compresses it in-process, and the job
+  // still finishes with the sharded reference bytes.
+  ASSERT_EQ(::setenv(kDistributedCrashEnv, "0", 1), 0);
   DistributedResult result;
   std::string error;
-  ASSERT_TRUE(CompressDistributed(shards, opts, &result, &error)) << error;
-  EXPECT_GE(result.workers_failed, shards.size());
-  for (const ShardReport& r : result.shards) {
-    EXPECT_TRUE(r.inprocess) << r.shard_path;
-  }
-  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
-            ShardedReferenceBytes(log, opts, 2));
+  const bool ok = CompressDistributed(shards, opts, &result, &error);
 
   // With the fallback disabled the job must fail loudly instead.
   opts.inprocess_fallback = false;
-  opts.spool_dir = UniqueDir("noexec_spool2");
+  opts.spool_dir = UniqueDir("fallback_spool2");
   DistributedResult failed;
-  error.clear();
-  EXPECT_FALSE(CompressDistributed(shards, opts, &failed, &error));
-  EXPECT_FALSE(error.empty());
-}
+  std::string failed_error;
+  const bool failed_ok =
+      CompressDistributed(shards, opts, &failed, &failed_error);
+  ::unsetenv(kDistributedCrashEnv);
 
-TEST(DistributedTest, WorkerArgvRoundTrips) {
-  DistributedWorkerOptions opts;
-  opts.shard_path = "/tmp/in.logrl";
-  opts.out_path = "/tmp/out.summary";
-  opts.compression.num_clusters = 9;
-  opts.compression.num_shards = 5;
-  opts.compression.method = ClusteringMethod::kSpectralHamming;
-  opts.compression.seed = 123;
-  opts.compression.n_init = 7;
-  opts.shard_index = 3;
-  opts.attempt = 2;
+  ASSERT_TRUE(ok) << error;
+  EXPECT_EQ(result.workers_launched, shards.size());
+  EXPECT_EQ(result.workers_failed, 1u);
+  EXPECT_TRUE(result.shards[0].inprocess);
+  EXPECT_EQ(result.shards[0].attempts, 2);
+  EXPECT_FALSE(result.shards[1].inprocess);
+  EXPECT_EQ(result.shards[1].attempts, 1);
+  EXPECT_EQ(Bytes(result.summary.vocabulary, *result.summary.model),
+            ShardedReferenceBytes(log, opts, 2));
 
-  DistributedWorkerOptions parsed;
-  std::string error;
-  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.shard_path, opts.shard_path);
-  EXPECT_EQ(parsed.out_path, opts.out_path);
-  EXPECT_EQ(parsed.compression.num_clusters, opts.compression.num_clusters);
-  EXPECT_EQ(parsed.compression.num_shards, opts.compression.num_shards);
-  EXPECT_EQ(parsed.compression.method, opts.compression.method);
-  EXPECT_EQ(parsed.compression.backend, "");
-  EXPECT_EQ(parsed.compression.seed, opts.compression.seed);
-  EXPECT_EQ(parsed.compression.n_init, opts.compression.n_init);
-  EXPECT_EQ(parsed.shard_index, opts.shard_index);
-  EXPECT_EQ(parsed.attempt, opts.attempt);
-
-  // A non-built-in method travels as a registry backend name.
-  opts.compression.backend = "custom-backend";
-  ASSERT_TRUE(ParseWorkerArgv(WorkerArgv(opts), &parsed, &error)) << error;
-  EXPECT_EQ(parsed.compression.backend, "custom-backend");
-
-  DistributedWorkerOptions bad;
-  EXPECT_FALSE(ParseWorkerArgv({"--bogus", "1"}, &bad, &error));
-  EXPECT_FALSE(ParseWorkerArgv({"--out", "/tmp/x"}, &bad, &error));
-  EXPECT_FALSE(ParseWorkerArgv(
-      {"--shard", "a", "--out", "b", "--shards", "0"}, &bad, &error));
-  EXPECT_FALSE(ParseWorkerArgv(
-      {"--shard", "a", "--out", "b", "--method", ""}, &bad, &error));
+  EXPECT_FALSE(failed_ok);
+  EXPECT_FALSE(failed_error.empty());
 }
 
 TEST(DistributedTest, WorkerRejectsMissingShardFile) {

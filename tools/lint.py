@@ -35,6 +35,13 @@ earlier PRs paid for and that a grep can keep honest:
                         data-parallel loop goes through ParallelFor, so
                         its grain, determinism contract and dispatch
                         counter cover all of them.
+  7. env-knobs          Every getenv in src/ names one of the library's
+                        documented environment variables (LOGR_THREADS,
+                        LOGR_ENCODER, LOGR_FORCE_SCALAR,
+                        LOGR_BINLOG_VERIFY, kDistributedCrashEnv) as a
+                        literal: a new knob is a design decision that
+                        starts by extending this list, and a getenv of a
+                        computed name cannot be audited at all.
 
 Usage: tools/lint.py [--root DIR] [FILES...]
 With FILES, only those are checked (CI's changed-files mode); otherwise
@@ -211,6 +218,27 @@ def check_one_parallel_for(path, lines, findings):
                 "dispatches"))
 
 
+ENV_KNOBS = ("LOGR_THREADS", "LOGR_ENCODER", "LOGR_FORCE_SCALAR",
+             "LOGR_BINLOG_VERIFY", "kDistributedCrashEnv")
+GETENV_ARG = re.compile(r"\bgetenv\s*\(\s*([^)]*?)\s*\)")
+
+
+def check_env_knobs(path, lines, findings):
+    if not path.startswith("src/"):
+        return
+    for i, raw in enumerate(lines, 1):
+        # Keep string literals (they name the variable); drop comments.
+        line = re.sub(r"//.*", "", raw)
+        for m in GETENV_ARG.finditer(line):
+            if m.group(1).strip('"') not in ENV_KNOBS:
+                findings.append(Finding(
+                    path, i, raw, "env-knobs",
+                    "getenv must name one of " + ", ".join(ENV_KNOBS) +
+                    " literally; read configuration through an options "
+                    "struct instead, or add the variable to ENV_KNOBS "
+                    "in tools/lint.py with its documentation"))
+
+
 def expected_guard(path):
     # src/cluster/nn_chain.h -> LOGR_CLUSTER_NN_CHAIN_H_
     rel = re.sub(r"^src/", "", path)
@@ -293,6 +321,7 @@ def main():
         check_unordered_iteration(path, lines, findings)
         check_header_guards(path, lines, findings)
         check_one_parallel_for(path, lines, findings)
+        check_env_knobs(path, lines, findings)
     check_avx_confinement(root, files, findings)
 
     for f in findings:
